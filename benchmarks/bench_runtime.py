@@ -12,12 +12,10 @@ direct comparison; the recorded table adds a small N sweep.
 The module also measures the perf trajectory of the scheduling engines
 and records it in ``BENCH_runtime.json`` at the repository root:
 
-* ``ftbar_incremental_vs_legacy`` — the PR-1 incremental engine against
-  the seed full-recompute path;
-* ``ftbar_compiled_vs_incremental`` — the compiled kernel
-  (``SchedulerOptions(compiled=True)``) against the object incremental
-  engine, with the kernel's work counters (candidates evaluated, cache
-  hits, scratch-buffer reuses);
+* ``ftbar_kernel_vs_reference`` — the compiled kernel (the default
+  options) against the reference engine (``compiled=False``, the seed
+  full-recompute loop), with the kernel's work counters (candidates
+  evaluated, cache hits, scratch-buffer reuses);
 * ``profile_top`` — the top cProfile hotspots of one compiled
   scheduling run (``--profile``), so perf PRs can prove where the time
   went before/after;
@@ -85,14 +83,12 @@ _PROBLEM = generate_problem(
 )
 
 _RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
-#: The seed engine: no incremental cache, no compiled kernel.
-_LEGACY = SchedulerOptions(incremental=False, compiled=False)
-#: The PR-1 engine: incremental cache on the object path.
-_INCREMENTAL = SchedulerOptions(compiled=False)
-#: This PR's engine: the compiled kernel (the default options).
+#: The reference engine: the seed full-recompute loop.
+_REFERENCE = SchedulerOptions(compiled=False)
+#: The fast path: the compiled kernel (the default options).
 _COMPILED = SchedulerOptions()
-#: The compiled kernel with symmetry pruning disabled — the escape
-#: hatch whose counters must match the object engine bit for bit.
+#: The compiled kernel with symmetry pruning disabled — the exhaustive
+#: sweep that pruning must never do more work than.
 _COMPILED_NOSYM = SchedulerOptions(symmetry=False)
 
 
@@ -142,49 +138,15 @@ def _interleaved_best_of(problem, legs, repeats: int) -> dict[str, list]:
     return results
 
 
-def run_incremental_sweep(full: bool = False, repeats: int = 5) -> dict:
-    """Time FTBAR's incremental engine against the seed path per N."""
-    counts = (40, 100, 200, 500) if full else (40, 100)
-    sweep: dict[str, dict] = {}
-    for n in counts:
-        problem = generate_problem(
-            RandomWorkloadConfig(
-                operations=n, ccr=1.0, processors=4, npf=1, seed=2003
-            )
-        )
-        incremental_s, incremental = _best_of(
-            schedule_ftbar, problem, _INCREMENTAL, repeats
-        )
-        legacy_s, legacy = _best_of(schedule_ftbar, problem, _LEGACY, repeats)
-        assert incremental.makespan == legacy.makespan, (
-            f"engines diverge at N={n}"
-        )
-        sweep[str(n)] = {
-            "incremental_s": incremental_s,
-            "legacy_s": legacy_s,
-            "speedup": legacy_s / incremental_s,
-            "incremental_pressure_evaluations":
-                incremental.stats.pressure_evaluations,
-            "legacy_pressure_evaluations": legacy.stats.pressure_evaluations,
-            "cache_hits": incremental.stats.cache_hits,
-            "makespan": incremental.makespan,
-        }
-    return sweep
-
-
-def run_compiled_sweep(full: bool = False, repeats: int = 5) -> dict:
-    """Time the compiled kernel against the object incremental engine.
+def run_kernel_sweep(full: bool = False, repeats: int = 5) -> dict:
+    """Time the compiled kernel against the reference engine per N.
 
     Equivalence is asserted before recording — the kernel is a
     pure-performance change, so any divergence voids the measurement:
-
-    * all four engines (compiled, compiled ``symmetry=False``,
-      incremental, legacy) must produce the same makespan;
-    * with symmetry pruning disabled the kernel probes exactly the
-      candidate set the object engine does, so its work counters must
-      match the incremental engine's bit for bit.  With pruning on the
-      evaluation count is *lower* by construction; the gap is recorded
-      as ``symmetry_pruned``.
+    the kernel, the kernel with ``symmetry=False`` and the reference
+    engine must produce the same makespan, and symmetry pruning must
+    account for every evaluation it skipped (recorded as
+    ``symmetry_pruned``).
 
     Each point also records the shared-compilation memo deltas: after
     the first run of a problem every later run (and every variant leg)
@@ -205,46 +167,33 @@ def run_compiled_sweep(full: bool = False, repeats: int = 5) -> dict:
         leg_repeats = repeats if n >= 300 else repeats * 2
         legs = _interleaved_best_of(
             problem,
-            (("compiled", _COMPILED), ("incremental", _INCREMENTAL)),
+            (("kernel", _COMPILED), ("reference", _REFERENCE)),
             leg_repeats,
         )
-        compiled_s, compiled = legs["compiled"]
-        incremental_s, incremental = legs["incremental"]
-        legacy_s, legacy = _best_of(
-            schedule_ftbar, problem, _LEGACY, max(1, repeats // 2)
-        )
+        kernel_s, kernel = legs["kernel"]
+        reference_s, reference = legs["reference"]
         nosym_s, nosym = _best_of(schedule_ftbar, problem, _COMPILED_NOSYM, 1)
         cache_after = compile_cache_stats()
         assert (
-            compiled.makespan
-            == nosym.makespan
-            == incremental.makespan
-            == legacy.makespan
+            kernel.makespan == nosym.makespan == reference.makespan
         ), f"engines diverge at N={n}"
         assert (
-            nosym.stats.pressure_evaluations,
-            nosym.stats.cache_hits,
-        ) == (
-            incremental.stats.pressure_evaluations,
-            incremental.stats.cache_hits,
-        ), f"counters diverge at N={n}"
-        assert (
-            compiled.stats.pressure_evaluations
-            + compiled.stats.symmetry_pruned
+            kernel.stats.pressure_evaluations
+            + kernel.stats.symmetry_pruned
             >= nosym.stats.pressure_evaluations
         ), f"symmetry pruning lost work at N={n}"
         sweep[str(n)] = {
-            "compiled_s": compiled_s,
-            "compiled_nosym_s": nosym_s,
-            "incremental_s": incremental_s,
-            "legacy_s": legacy_s,
-            "speedup": incremental_s / compiled_s,
-            "speedup_vs_seed": legacy_s / compiled_s,
-            "pressure_evaluations": compiled.stats.pressure_evaluations,
+            "kernel_s": kernel_s,
+            "kernel_nosym_s": nosym_s,
+            "reference_s": reference_s,
+            "speedup": reference_s / kernel_s,
+            "pressure_evaluations": kernel.stats.pressure_evaluations,
             "nosym_pressure_evaluations": nosym.stats.pressure_evaluations,
-            "symmetry_pruned": compiled.stats.symmetry_pruned,
-            "cache_hits": compiled.stats.cache_hits,
-            "buffer_reuses": compiled.stats.buffer_reuses,
+            "reference_pressure_evaluations":
+                reference.stats.pressure_evaluations,
+            "symmetry_pruned": kernel.stats.symmetry_pruned,
+            "cache_hits": kernel.stats.cache_hits,
+            "buffer_reuses": kernel.stats.buffer_reuses,
             "compile_cache_core_hits": (
                 cache_after["core_hits"] - cache_before["core_hits"]
             ),
@@ -254,7 +203,7 @@ def run_compiled_sweep(full: bool = False, repeats: int = 5) -> dict:
             "compile_cache_variant_hits": (
                 cache_after["variant_hits"] - cache_before["variant_hits"]
             ),
-            "makespan": compiled.makespan,
+            "makespan": kernel.makespan,
         }
     return sweep
 
@@ -619,8 +568,7 @@ def write_bench_json(
                 "ccr": 1.0, "processors": 4, "npf": 1, "seed": 2003,
                 "repeats": repeats, "full": full,
             },
-            "ftbar_incremental_vs_legacy": run_incremental_sweep(full, repeats),
-            "ftbar_compiled_vs_incremental": run_compiled_sweep(full, repeats),
+            "ftbar_kernel_vs_reference": run_kernel_sweep(full, repeats),
             "ftbar_vs_hbp": run_hbp_sweep(full, repeats),
             "phase_breakdown": run_phase_breakdown(),
             "campaign_compile_reuse": run_campaign_compile_reuse(full),
@@ -665,23 +613,23 @@ def bench_runtime_hbp(benchmark, record_result):
         assert point.ftbar_seconds < point.hbp_seconds, point
 
 
-def bench_runtime_incremental_vs_legacy(benchmark, record_result):
-    """Time the incremental engine and record the JSON perf trajectory."""
+def bench_runtime_kernel_vs_reference(benchmark, record_result):
+    """Time the kernel and record the JSON perf trajectory."""
     result = benchmark(schedule_ftbar, _PROBLEM)
     assert result.makespan > 0
 
     payload = write_bench_json(full=full_scale())
-    lines = ["incremental engine vs legacy full-recompute path"]
+    lines = ["compiled kernel vs reference full-recompute engine"]
     for n, point in sorted(
-        payload["ftbar_incremental_vs_legacy"].items(), key=lambda kv: int(kv[0])
+        payload["ftbar_kernel_vs_reference"].items(), key=lambda kv: int(kv[0])
     ):
         lines.append(
-            f"  N={n:>4}: {point['incremental_s']*1e3:8.1f} ms vs "
-            f"{point['legacy_s']*1e3:8.1f} ms  ({point['speedup']:.2f}x, "
-            f"{point['incremental_pressure_evaluations']} vs "
-            f"{point['legacy_pressure_evaluations']} plans computed)"
+            f"  N={n:>4}: {point['kernel_s']*1e3:8.1f} ms vs "
+            f"{point['reference_s']*1e3:8.1f} ms  ({point['speedup']:.2f}x, "
+            f"{point['pressure_evaluations']} vs "
+            f"{point['reference_pressure_evaluations']} plans computed)"
         )
-    record_result("runtime_incremental", "\n".join(lines))
+    record_result("runtime_kernel", "\n".join(lines))
 
 
 def main(argv: list[str]) -> int:
@@ -715,20 +663,12 @@ def main(argv: list[str]) -> int:
         backend=backend,
     )
     print(json.dumps(payload, indent=1, sort_keys=True))
-    n100 = payload["ftbar_incremental_vs_legacy"].get("100")
-    if n100 is not None:
-        print(
-            f"\nFTBAR N=100 speedup over non-incremental path: "
-            f"{n100['speedup']:.2f}x",
-            file=sys.stderr,
-        )
     for n, point in sorted(
-        payload["ftbar_compiled_vs_incremental"].items(),
+        payload["ftbar_kernel_vs_reference"].items(),
         key=lambda kv: int(kv[0]),
     ):
         print(
-            f"compiled kernel N={n}: {point['speedup']:.2f}x vs incremental, "
-            f"{point['speedup_vs_seed']:.2f}x vs seed "
+            f"compiled kernel N={n}: {point['speedup']:.2f}x vs reference "
             f"({point['pressure_evaluations']} evaluations, "
             f"{point['symmetry_pruned']} symmetry-pruned, "
             f"{point['cache_hits']} cache hits, "

@@ -11,8 +11,10 @@ recorded data rather than hand-copied::
 Covered sections, one table per engine-trajectory PR:
 
 * ``ftbar_incremental_vs_legacy`` — PR 1's incremental engine vs seed;
-* ``ftbar_compiled_vs_incremental`` — this PR's compiled kernel vs the
+* ``ftbar_compiled_vs_incremental`` — PR 5/6's compiled kernel vs the
   incremental engine (and cumulatively vs seed);
+* ``ftbar_kernel_vs_reference`` — the compiled kernel vs the reference
+  engine, once the incremental object engine was retired;
 * ``reliability_certificates`` — PR 3/4's batched scenario engine;
 * ``reliability_sampled_vs_exhaustive`` — PR 8's adaptive sampled
   certification (bounds + confidence intervals past the enumeration
@@ -116,6 +118,29 @@ def render_compiled(section: dict) -> list[str]:
             f"| {point['speedup']:.1f}x "
             f"| {point['speedup_vs_seed']:.1f}x "
             f"| {'-' if pruned is None else pruned} |"
+        )
+    return lines + _skip_note(skipped) if rows else []
+
+
+def render_kernel(section: dict) -> list[str]:
+    rows, skipped = _complete_rows(
+        section,
+        ("reference_s", "kernel_s", "speedup", "pressure_evaluations",
+         "reference_pressure_evaluations"),
+    )
+    lines = [
+        "### Compiled kernel vs reference engine",
+        "",
+        "| N | reference | kernel | speedup | plans computed (vs reference) |",
+        "|---:|---:|---:|---:|---:|",
+    ]
+    for n, point in rows:
+        lines.append(
+            f"| {n} | {_fmt_ms(point['reference_s'])} "
+            f"| {_fmt_ms(point['kernel_s'])} "
+            f"| {point['speedup']:.1f}x "
+            f"| {point['pressure_evaluations']} vs "
+            f"{point['reference_pressure_evaluations']} |"
         )
     return lines + _skip_note(skipped) if rows else []
 
@@ -354,6 +379,8 @@ def render(payload: dict) -> str:
         blocks.append(render_incremental(payload["ftbar_incremental_vs_legacy"]))
     if "ftbar_compiled_vs_incremental" in payload:
         blocks.append(render_compiled(payload["ftbar_compiled_vs_incremental"]))
+    if "ftbar_kernel_vs_reference" in payload:
+        blocks.append(render_kernel(payload["ftbar_kernel_vs_reference"]))
     for key, label in (
         (
             "reliability_certificate_batched_vs_scenario",

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import InfeasibleReplicationError, SchedulingError
 from repro.core.compile import CompiledProblem
-from repro.core.incremental import MutationTracker, PlanCache
 from repro.core.kernel import SchedulingKernel
 from repro.core.placement import PlacementPlanner, commit_plan
 from repro.problem import ProblemSpec
@@ -47,10 +46,12 @@ HBP_REPLICAS = 2
 class HBPStats:
     """Run statistics, used by the complexity experiment (E6).
 
-    ``pair_evaluations`` counts *computed* pair costs; the incremental
-    pair-cost cache (the same :class:`~repro.core.incremental.PlanCache`
-    machinery the FTBAR engine uses, so the E6 runtime comparison stays
-    apples-to-apples) serves the rest as ``pair_cache_hits``.
+    ``pair_evaluations`` counts *computed* pair costs; on the compiled
+    path the kernel's pair-cost cache (the same
+    :class:`~repro.core.kernel.KernelPlanCache` machinery FTBAR uses, so
+    the E6 runtime comparison stays apples-to-apples) serves the rest as
+    ``pair_cache_hits``.  The reference path recomputes every pair, so
+    its ``pair_cache_hits`` stays 0.
     """
 
     steps: int = 0
@@ -77,10 +78,11 @@ class HBPScheduler:
     """Height-based partitioning scheduler with task duplication.
 
     ``compiled`` (default) runs the ordered-pair cost search on the
-    same :class:`~repro.core.kernel.SchedulingKernel` as FTBAR —
-    bit-identical schedules and pair counters, so the E6 runtime
-    comparison measures the heuristics, not the data structures.
-    ``compiled=False`` keeps the object path.
+    same :class:`~repro.core.kernel.SchedulingKernel` as FTBAR, so the
+    E6 runtime comparison measures the heuristics, not the data
+    structures.  ``compiled=False`` runs the reference path, which
+    replans every pair at every selection; both produce bit-identical
+    schedules.
     """
 
     def __init__(self, problem: ProblemSpec, compiled: bool = True) -> None:
@@ -106,7 +108,6 @@ class HBPScheduler:
             self._comm_times,
             npf=HBP_REPLICAS - 1,
         )
-        self._cache = PlanCache()
         self._compiled: CompiledProblem | None = None
         if compiled:
             self._compiled = CompiledProblem(
@@ -139,25 +140,19 @@ class HBPScheduler:
         if self._compiled is not None:
             self._run_compiled(schedule, stats)
         else:
-            self._run_object(schedule, stats)
+            self._run_reference(schedule, stats)
         stats.wall_time_s = time.perf_counter() - started
         rtc_report = self._problem.rtc.check(schedule)
         return HBPResult(schedule=schedule, rtc_report=rtc_report, stats=stats)
 
-    def _run_object(self, schedule: Schedule, stats: HBPStats) -> None:
-        self._cache = PlanCache()
-        tracker = MutationTracker(schedule)
+    def _run_reference(self, schedule: Schedule, stats: HBPStats) -> None:
         for group in self._height_groups():
             remaining = list(group)
             while remaining:
                 stats.steps += 1
                 task, first, second = self._select(remaining, schedule, stats)
-                tracker.begin()
                 self._commit_pair(task, first, second, schedule)
-                self._cache.drop_operation(task)
-                self._cache.invalidate(tracker.delta())
                 remaining.remove(task)
-        stats.pair_cache_hits = self._cache.hits
 
     def _run_compiled(self, schedule: Schedule, stats: HBPStats) -> None:
         """The same group loop over the compiled kernel's pair costs."""
@@ -287,62 +282,15 @@ class HBPScheduler:
         Both replicas are planned against one shared link-state overlay
         so their feeding comms contend for the same links, exactly as
         they will once committed.
-
-        Costs are cached per ``(task, first, second)`` with the same
-        dirty-set machinery as the FTBAR engine: an entry's feeds stay
-        valid while its predecessors' replica sets are untouched and no
-        reserved link's availability has grown past the first planned
-        start (append-mode threshold rule); ``processor_ready`` of both
-        targets is refreshed in O(1) on every hit.
         """
-        cache = self._cache
-        key = (task, first, second)
-        entry = cache.entries.get(key)
-        if entry is not None:
-            # Same append-mode staleness rule as PressureCalculator.
-            # cached_pressure (kept inline there for the hot path);
-            # change both together.
-            stale = False
-            for link, start in entry.link_thresholds:
-                if schedule.link_available(link) > start:
-                    stale = True
-                    break
-            if not stale:
-                cache.hits += 1
-                plans = entry.value
-                if plans is None:
-                    return None
-                first_plan, second_plan = plans
-                first_plan.processor_ready = schedule.processor_available(first)
-                second_plan.processor_ready = schedule.processor_available(second)
-                first_end = first_plan.s_best + first_plan.duration
-                second_end = second_plan.s_best + second_plan.duration
-                return max(first_end, second_end)
-            cache.discard(key)
-        cache.misses += 1
         stats.pair_evaluations += 1
-        dependencies = frozenset(self._algorithm.predecessors(task))
         state = self._planner.fresh_link_state(schedule)
         first_plan = self._planner.plan(task, first, schedule, state)
         if first_plan is None:
-            cache.put(key, None, operations=dependencies)
             return None
         second_plan = self._planner.plan(task, second, schedule, state)
         if second_plan is None:
-            cache.put(key, None, operations=dependencies)
             return None
-        thresholds: dict[str, float] = {}
-        for plan in (first_plan, second_plan):
-            for link, start in plan.link_thresholds():
-                current = thresholds.get(link)
-                if current is None or start < current:
-                    thresholds[link] = start
-        cache.put(
-            key,
-            (first_plan, second_plan),
-            operations=dependencies,
-            link_thresholds=tuple(thresholds.items()),
-        )
         first_end = first_plan.s_best + first_plan.duration
         second_end = second_plan.s_best + second_plan.duration
         return max(first_end, second_end)

@@ -8,14 +8,11 @@ from repro.core.ftbar import (
     StepRecord,
     schedule_ftbar,
 )
-from repro.core.incremental import (
+from repro.core.kernel import (
+    CompiledReadySet,
     KernelPlanCache,
-    MutationTracker,
-    PlanCache,
-    ReadySet,
-    StepDelta,
+    SchedulingKernel,
 )
-from repro.core.kernel import CompiledReadySet, SchedulingKernel
 from repro.core.minimize import DuplicationStats, StartTimeMinimizer
 from repro.core.options import SchedulerOptions
 from repro.core.placement import (
@@ -37,18 +34,14 @@ __all__ = [
     "FTBARStats",
     "KernelPlanCache",
     "LinkState",
-    "MutationTracker",
     "PlacementPlan",
     "PlacementPlanner",
-    "PlanCache",
     "PlannedComm",
     "PredecessorFeed",
     "PressureCalculator",
-    "ReadySet",
     "SchedulerOptions",
     "SchedulingKernel",
     "StartTimeMinimizer",
-    "StepDelta",
     "StepRecord",
     "commit_plan",
     "schedule_ftbar",

@@ -25,39 +25,18 @@ the real-time constraints are checked on the finished schedule — the
 scheduler reports ``Rtc`` satisfaction rather than failing, so the
 designer can decide to add hardware or relax the constraints.
 
-Incremental engine invariants
------------------------------
-The default engine (``SchedulerOptions.incremental``) avoids the naive
-O(steps x candidates x processors) replanning of macro-step À by caching
-every trial plan and only recomputing the ones a placement could have
-changed.  Its correctness rests on two invariants of the paper's
-append-only list scheduling:
-
-1. **Ready-set maintenance.**  An operation becomes a candidate exactly
-   when its last unscheduled predecessor (or, for a pinned memory half,
-   its anchor half) is placed.  Indegree counters decremented on each
-   placement therefore reproduce the full rescan, including its sorted
-   candidate order (tie-breaks are order-sensitive).
-
-2. **Dirty-set rule.**  A cached plan for ``(o, p)`` reads only: the
-   timeline of ``p`` (``processor_ready``, co-located predecessor
-   replicas), the busy intervals of the links it consulted while routing
-   feeds, and the replica sets of ``o``'s predecessors.  Committing a
-   macro-step mutates only: the timelines of the processors that
-   received replicas (the selected operation's ``Npf + 1`` hosts, which
-   also host every LIP duplicate), the links its comms landed on, and
-   the replica sets of the operations that gained replicas (the selected
-   operation and any duplicated LIP ancestors).  Hence a cached plan
-   whose dependency sets are disjoint from the step's dirty set would be
-   recomputed *identically* — serving it from cache is exact, not
-   approximate, and the produced schedules, tie-breaks and
-   :class:`StepRecord` streams are bit-identical to the legacy path
-   (enforced by ``tests/test_engine_equivalence.py`` against recorded
-   seed-engine fingerprints).
-
-Rollbacks inside ``Minimize_start_time`` cannot poison the cache: the
-dirty set is diffed on the *committed* post-step state, and a rolled
-back trial restores the exact pre-trial timelines.
+Engines
+-------
+Two engines run this loop.  The compiled kernel
+(:mod:`repro.core.kernel`, the default) is the fast path: it keeps the
+candidate set with indegree counters and caches every trial plan under
+the dirty-set rule documented there.  The reference engine
+(``SchedulerOptions(compiled=False)``, and every ``link_insertion``
+run) is the seed loop below: it rescans the candidates and replans
+every ``(operation, processor)`` pair at each macro-step.  The two
+produce bit-identical schedules and :class:`StepRecord` streams
+(enforced by ``tests/test_engine_equivalence.py`` against recorded
+seed-engine fingerprints).
 """
 
 from __future__ import annotations
@@ -76,7 +55,6 @@ from repro.exceptions import (
 )
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.core.compile import CompiledProblem, validated_once
-from repro.core.incremental import MutationTracker, ReadySet
 from repro.core.kernel import CompiledReadySet, SchedulingKernel
 from repro.core.minimize import DuplicationStats, StartTimeMinimizer
 from repro.core.options import SchedulerOptions
@@ -94,9 +72,9 @@ from repro.timing.exec_times import ExecutionTimes
 class FTBARStats:
     """Run statistics, used by the complexity experiment (E6).
 
-    ``pressure_evaluations`` counts *computed* trial plans; with the
-    incremental engine the cache serves the rest (``cache_hits``), which
-    is exactly the saving the refactor buys.
+    ``pressure_evaluations`` counts *computed* trial plans; the
+    kernel's plan cache serves the rest (``cache_hits``, always 0 on the
+    reference engine).
     """
 
     steps: int = 0
@@ -105,13 +83,13 @@ class FTBARStats:
     duplication: DuplicationStats = field(default_factory=DuplicationStats)
     wall_time_s: float = 0.0
     #: Trial plans served by the compiled kernel's reused scratch
-    #: buffers (0 on the object path, which allocates a fresh overlay
-    #: per evaluation) — recorded by ``benchmarks/bench_runtime.py``.
+    #: buffers (0 on the reference engine, which allocates a fresh
+    #: overlay per evaluation) — recorded by ``benchmarks/bench_runtime.py``.
     buffer_reuses: int = 0
     #: ``(candidate, processor)`` pairs the compiled kernel skipped
     #: because a verified topology automorphism made their σ a
-    #: bit-identical copy of an orbit representative's (0 on the object
-    #: path and with ``SchedulerOptions.symmetry=False``).
+    #: bit-identical copy of an orbit representative's (0 on the
+    #: reference engine and with ``SchedulerOptions.symmetry=False``).
     symmetry_pruned: int = 0
 
 
@@ -173,14 +151,14 @@ class FTBARScheduler:
         if self._npl < 0:
             raise SchedulingError(f"npl must be >= 0, got {self._npl}")
         # The compiled kernel covers append-mode scheduling; gap
-        # insertion keeps the object path (see SchedulerOptions).
+        # insertion runs the reference engine (see SchedulerOptions).
         self._compiled: CompiledProblem | None = None
         if self._options.compiled and self._options.link_insertion:
             warnings.warn(
                 "compiled=True has no effect with link_insertion=True: "
                 "the compiled kernel models append-mode reservations "
-                "only, so this run uses the object path (bit-identical "
-                "schedules, object-path speed)",
+                "only, so this run uses the reference engine "
+                "(bit-identical schedules, reference-engine speed)",
                 CompiledFallbackWarning,
                 stacklevel=3,
             )
@@ -234,9 +212,9 @@ class FTBARScheduler:
             problem.architecture.route_planner.require_disjoint_routes(
                 self._npl + 1
             )
-        # The object-path machinery is built on demand (properties
-        # below): a compiled run never touches it, and its construction
-        # is a measurable fraction of a small-N run.
+        # The reference engine's machinery is built on demand
+        # (properties below): a compiled run never touches it, and its
+        # construction is a measurable fraction of a small-N run.
         self._planner_obj: PlacementPlanner | None = None
         self._pressure_obj: PressureCalculator | None = None
         self._minimizer_obj: StartTimeMinimizer | None = None
@@ -296,7 +274,7 @@ class FTBARScheduler:
             operations=len(self._algorithm),
             npf=self._npf,
             npl=self._npl,
-            engine="kernel" if self._compiled is not None else "object",
+            engine="kernel" if self._compiled is not None else "reference",
         ) as span:
             result = self._run(tracer)
             stats = result.stats
@@ -325,14 +303,12 @@ class FTBARScheduler:
         )
         stats = FTBARStats()
         scheduled: set[str] = set()
-        incremental = self._options.incremental
         observer = self._observer
         kernel: SchedulingKernel | None = None
         if self._compiled is not None:
             kernel = SchedulingKernel(
                 self._compiled,
                 schedule,
-                cache=incremental,
                 processor_aware=self._options.processor_aware_pressure,
                 duplication=self._options.duplication,
                 symmetry=self._options.symmetry,
@@ -343,32 +319,18 @@ class FTBARScheduler:
                 # replay-repair pool pass) accumulate totals here and
                 # are emitted as aggregate spans after the loop.
                 kernel.phase_times = {}
-        ready: ReadySet | None = None
-        ready_ids: CompiledReadySet | None = None
-        tracker: MutationTracker | None = None
-        if incremental:
-            if kernel is not None:
-                # Candidate maintenance on dense ids: sorted ids are
-                # the sorted-name candidate order by construction.  The
-                # kernel derives each step's dirty set from its own
-                # undo log, so no MutationTracker is needed.
-                ready_ids = CompiledReadySet(self._compiled)
-            else:
-                tracker = MutationTracker(schedule)
-                ready = ReadySet(self._algorithm, self._pins)
-                self._pressure.attach(schedule)
-        op_names = self._compiled.op_names if kernel is not None else None
+            # Candidate maintenance on dense ids: sorted ids are the
+            # sorted-name candidate order by construction.
+            ready_ids = CompiledReadySet(self._compiled)
+            op_names = self._compiled.op_names
         while True:
-            if ready_ids is not None:
+            if kernel is not None:
                 candidate_ids = ready_ids.candidates()
                 if not candidate_ids:
                     break
                 candidates = None
             else:
-                candidates = (
-                    list(ready.candidates()) if incremental
-                    else self._candidates(scheduled)
-                )
+                candidates = self._candidates(scheduled)
                 if not candidates:
                     break
             stats.steps += 1
@@ -378,31 +340,20 @@ class FTBARScheduler:
                 else obs.NOOP_SPAN
             ):
                 if kernel is not None:
-                    if ready_ids is not None:
-                        operation, processors, urgency, pressures = (
-                            kernel.select_ids(
-                                candidate_ids, observer is not None
-                            )
-                        )
-                    else:
-                        operation, processors, urgency, pressures = (
-                            kernel.select(candidates, observer is not None)
-                        )
+                    operation, processors, urgency, pressures = (
+                        kernel.select_ids(candidate_ids, observer is not None)
+                    )
                 else:
                     operation, processors, urgency, pressures = self._select(
                         candidates, schedule
                     )
-            if incremental:
-                if kernel is not None:
-                    kernel.begin_step()
-                else:
-                    tracker.begin()
             with (
                 tracer.span("kernel.place", step=stats.steps)
                 if tracer is not None
                 else obs.NOOP_SPAN
             ):
                 if kernel is not None:
+                    kernel.begin_step()
                     # Macro-step trial batching: the kernel plans the
                     # whole step's Npf + 1 trials in one pass where that
                     # is exact (see SchedulingKernel.place_step).
@@ -411,17 +362,10 @@ class FTBARScheduler:
                     for processor in processors:
                         self._place(operation, processor, schedule)
             scheduled.add(operation)
-            if incremental:
-                if ready_ids is not None:
-                    ready_ids.mark_scheduled(self._compiled.op_ids[operation])
-                else:
-                    ready.mark_scheduled(operation)
-                if kernel is not None:
-                    kernel.forget(operation)
-                    kernel.invalidate_step()
-                else:
-                    self._pressure.forget_operation(operation)
-                    self._pressure.invalidate(tracker.delta())
+            if kernel is not None:
+                ready_ids.mark_scheduled(self._compiled.op_ids[operation])
+                kernel.forget(operation)
+                kernel.invalidate_step()
             if observer is not None:
                 if candidates is None:
                     candidates = [op_names[o] for o in candidate_ids]
@@ -466,7 +410,6 @@ class FTBARScheduler:
             stats.symmetry_pruned = kernel.symmetry_pruned
         else:
             stats.pressure_evaluations = self._pressure.evaluations
-            stats.cache_hits = self._pressure.cache_stats[0]
             stats.duplication = self._minimizer.stats
         stats.wall_time_s = time.perf_counter() - started
         rtc_report = self._expanded_rtc().check(schedule)
@@ -505,11 +448,7 @@ class FTBARScheduler:
         """Pick the most urgent candidate and its ``Npf + 1`` processors."""
         best_choice: tuple[float, str, tuple[str, ...]] | None = None
         pressures: dict[tuple[str, str], float] = {}
-        evaluate = (
-            self._pressure.cached_pressure
-            if self._options.incremental
-            else self._pressure.pressure
-        )
+        evaluate = self._pressure.pressure
         infinity = math.inf
         for operation in candidates:
             processors = self._processor_pool(operation, schedule)

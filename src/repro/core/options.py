@@ -34,14 +34,6 @@ class SchedulerOptions:
         numbers exactly (the worked example lands on 15.05 with it); the
         aware variant is an improvement measured by the ablation bench
         (it finds 12.05 on the same example).
-    incremental:
-        Run the incremental engine: indegree-counter candidate
-        maintenance plus the dirty-set pressure cache (see
-        :mod:`repro.core.ftbar`).  The produced schedules and observer
-        streams are bit-identical to the legacy full-recompute path —
-        the flag is a pure-performance escape hatch kept so the E6
-        runtime bench can measure the speedup in-repo and so a
-        regression can be bisected to the caching layer.
     npl:
         Override of the problem's link-failure hypothesis ``Npl``
         (``None`` keeps the problem's own value).  With an effective
@@ -49,21 +41,20 @@ class SchedulerOptions:
         ``Npl + 1`` link-disjoint routes; ``Npl = 0`` is bit-identical
         to the paper's single-route engine.
     compiled:
-        Run the compiled scheduling kernel: operations, processors,
-        links and edges are interned to dense integer ids once per
-        problem and the per-step inner loop (ready-set sweep, candidate
-        pressure evaluation, placement trials) runs as batched passes
-        over flat preallocated arrays instead of per-pair object graphs
-        (see :mod:`repro.core.kernel`).  The produced schedules,
-        observer streams, content hashes and evaluation counters are
-        bit-identical to the object path — the flag is a
-        pure-performance escape hatch, kept so the equivalence corpus
-        can pin compiled-vs-legacy and a regression can be bisected to
-        the compilation layer.  Composes with ``incremental`` (the plan
-        cache then runs on id-indexed dirty rows).  Ignored (object
-        path used) when ``link_insertion`` is set: gap insertion makes
-        whole link timelines relevant, which the flat append-mode
-        arrays deliberately do not model.
+        Run the compiled scheduling kernel, the fast path: operations,
+        processors, links and edges are interned to dense integer ids
+        once per problem, and the per-step inner loop (ready-set sweep,
+        cached candidate pressure evaluation, placement trials) runs as
+        batched passes over flat preallocated arrays (see
+        :mod:`repro.core.kernel`).  ``compiled=False`` selects the
+        reference engine instead: the seed loop that rescans the
+        candidates and replans every ``(operation, processor)`` pair
+        from scratch at each macro-step.  Both engines produce
+        bit-identical schedules, observer streams and content hashes;
+        the reference is the oracle the kernel is tested against.  The
+        reference engine also runs whenever ``link_insertion`` is set:
+        gap insertion makes whole link timelines relevant, which the
+        kernel's flat append-mode arrays deliberately do not model.
     symmetry:
         Prune isomorphic candidate placements in the compiled kernel:
         the architecture's processor/link automorphism group is computed
@@ -74,7 +65,7 @@ class SchedulerOptions:
         observer streams and content hashes are unchanged (the
         ``pressure_evaluations`` / ``cache_hits`` counters shrink;
         ``FTBARStats.symmetry_pruned`` counts the skipped pairs).  Only
-        the compiled kernel implements the pruning; the object engine
+        the compiled kernel implements the pruning; the reference engine
         ignores the flag.  ``symmetry=False`` is the escape hatch that
         restores the exhaustive sweep (and the PR-5 counter pins).
     sweep_workers:
@@ -89,7 +80,6 @@ class SchedulerOptions:
     duplication: bool = True
     link_insertion: bool = False
     processor_aware_pressure: bool = False
-    incremental: bool = True
     npl: int | None = None
     compiled: bool = True
     symmetry: bool = True

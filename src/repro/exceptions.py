@@ -72,9 +72,9 @@ class CacheDegradedWarning(UserWarning):
 class CompiledFallbackWarning(UserWarning):
     """``compiled=True`` was combined with an option the kernel cannot model.
 
-    The scheduler silently used to fall back to the object path; it now
-    emits this structured warning so benchmark harnesses and callers
-    that *expect* kernel-speed runs notice the downgrade.  The produced
-    schedules are unaffected (the object path is bit-identical); only
+    The scheduler runs the reference engine instead and emits this
+    structured warning so benchmark harnesses and callers that *expect*
+    kernel-speed runs notice the downgrade.  The produced schedules are
+    unaffected (the reference engine is bit-identical); only
     performance differs.
     """

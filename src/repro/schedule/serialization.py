@@ -73,7 +73,7 @@ def algorithm_from_dict(document: Mapping) -> AlgorithmGraph:
                 entry["source"], entry["target"], entry.get("data_size", 1.0)
             )
         return graph
-    except (KeyError, TypeError) as error:
+    except (KeyError, TypeError, AttributeError) as error:
         raise SerializationError(f"invalid algorithm document: {error}") from error
 
 
@@ -112,7 +112,7 @@ def architecture_from_dict(document: Mapping) -> Architecture:
                 )
             )
         return architecture
-    except (KeyError, TypeError, ValueError) as error:
+    except (KeyError, TypeError, ValueError, AttributeError) as error:
         raise SerializationError(f"invalid architecture document: {error}") from error
 
 
@@ -134,10 +134,16 @@ def exec_times_from_dict(document: Mapping) -> ExecutionTimes:
     """Rebuild an execution-time table from its document form."""
     try:
         table = ExecutionTimes()
+        seen: set[tuple] = set()
         for entry in document["entries"]:
-            table.set(
-                entry["operation"], entry["processor"], _decode_time(entry["time"])
-            )
+            key = (entry["operation"], entry["processor"])
+            if key in seen:
+                raise SerializationError(
+                    f"invalid exec-times document: duplicate entry for "
+                    f"operation {key[0]!r} on processor {key[1]!r}"
+                )
+            seen.add(key)
+            table.set(key[0], key[1], _decode_time(entry["time"]))
         return table
     except (KeyError, TypeError) as error:
         raise SerializationError(f"invalid exec-times document: {error}") from error
@@ -162,12 +168,16 @@ def comm_times_from_dict(document: Mapping) -> CommunicationTimes:
     """Rebuild a communication-time table from its document form."""
     try:
         table = CommunicationTimes()
+        seen: set[tuple] = set()
         for entry in document["entries"]:
-            table.set(
-                (entry["source"], entry["target"]),
-                entry["link"],
-                _decode_time(entry["time"]),
-            )
+            key = (entry["source"], entry["target"], entry["link"])
+            if key in seen:
+                raise SerializationError(
+                    f"invalid comm-times document: duplicate entry for "
+                    f"edge {key[0]!r} -> {key[1]!r} on link {key[2]!r}"
+                )
+            seen.add(key)
+            table.set(key[:2], key[2], _decode_time(entry["time"]))
         return table
     except (KeyError, TypeError) as error:
         raise SerializationError(f"invalid comm-times document: {error}") from error
@@ -181,14 +191,31 @@ def rtc_to_dict(rtc: RealTimeConstraints) -> dict:
     }
 
 
+def _check_deadline(value: Any, key: str) -> None:
+    """Reject a deadline that is not a finite number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        not math.isfinite(value)
+    ):
+        raise SerializationError(
+            f"invalid rtc document: {key} must be a finite number, "
+            f"got {value!r}"
+        )
+
+
 def rtc_from_dict(document: Mapping) -> RealTimeConstraints:
     """Rebuild real-time constraints from their document form."""
     try:
+        global_deadline = document.get("global_deadline")
+        if global_deadline is not None:
+            _check_deadline(global_deadline, "rtc.global_deadline")
+        operation_deadlines = dict(document.get("operation_deadlines", {}))
+        for operation, deadline in operation_deadlines.items():
+            _check_deadline(deadline, f"rtc.operation_deadlines.{operation}")
         return RealTimeConstraints(
-            global_deadline=document.get("global_deadline"),
-            operation_deadlines=dict(document.get("operation_deadlines", {})),
+            global_deadline=global_deadline,
+            operation_deadlines=operation_deadlines,
         )
-    except (TypeError, AttributeError) as error:
+    except (TypeError, ValueError, AttributeError) as error:
         raise SerializationError(f"invalid rtc document: {error}") from error
 
 
@@ -219,13 +246,35 @@ def problem_to_dict(problem: ProblemSpec) -> dict:
     return document
 
 
+def _count(document: Mapping, key: str) -> int:
+    """An integer field of a problem document (0 when absent)."""
+    value = document.get(key, 0)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SerializationError(
+            f"invalid problem document: {key} must be an integer, "
+            f"got {value!r}"
+        )
+    return value
+
+
 def problem_from_dict(document: Mapping) -> ProblemSpec:
     """Rebuild a full scheduling problem from its document form."""
+    if not isinstance(document, Mapping):
+        raise SerializationError(
+            f"invalid problem document: expected a JSON object, "
+            f"got {type(document).__name__}"
+        )
+    version = document.get("format_version", _FORMAT_VERSION)
+    if version != _FORMAT_VERSION or isinstance(version, bool):
+        raise SerializationError(
+            f"invalid problem document: format_version {version!r} is not "
+            f"supported (expected {_FORMAT_VERSION})"
+        )
     try:
         return ProblemSpec(
             name=document.get("name", "problem"),
-            npf=int(document.get("npf", 0)),
-            npl=int(document.get("npl", 0)),
+            npf=_count(document, "npf"),
+            npl=_count(document, "npl"),
             algorithm=algorithm_from_dict(document["algorithm"]),
             architecture=architecture_from_dict(document["architecture"]),
             exec_times=exec_times_from_dict(document["exec_times"]),

@@ -59,6 +59,40 @@ class TestGenerateAndSchedule:
         assert main(["schedule", str(problem), "--npf", "3"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mutate,key",
+        [
+            (lambda d: d.update(npf="x"), "npf"),
+            (lambda d: [], "JSON object"),
+            (
+                lambda d: d["exec_times"]["entries"].append(
+                    dict(d["exec_times"]["entries"][0], time=999.0)
+                ),
+                "duplicate entry for operation 'T0' on processor 'P1'",
+            ),
+            (lambda d: d.update(format_version=99), "format_version"),
+            (
+                lambda d: d["rtc"].update(global_deadline=float("nan")),
+                "rtc.global_deadline",
+            ),
+        ],
+        ids=["npf-string", "top-level-list", "duplicate-exec-time",
+             "format-version", "nan-deadline"],
+    )
+    def test_schedule_malformed_problem_reports_one_line(
+        self, tmp_path, capsys, mutate, key
+    ):
+        problem = tmp_path / "problem.json"
+        main(["generate", str(problem), "--operations", "6", "--seed", "5"])
+        capsys.readouterr()
+        document = load_json(problem)
+        mutated = mutate(document)
+        problem.write_text(json.dumps(document if mutated is None else mutated))
+        assert main(["schedule", str(problem)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert key in lines[0]
+
 
 class TestSimulate:
     def test_simulate_all_single_crashes(self, tmp_path, capsys):

@@ -1,18 +1,17 @@
 """Randomized equivalence corpus for the compiled scheduling kernel.
 
-``SchedulerOptions(compiled=True)`` must be a pure-performance change:
-bit-identical replica placements, comm orders, observer ``StepRecord``
-streams, *and* evaluation counters (the compiled plan cache reproduces
-the PR-1 dirty-set semantics exactly, so its hit/miss pattern pins
-against the object engine's).
+``SchedulerOptions(compiled=True)`` must be a pure-performance change
+against the reference engine (``compiled=False``): bit-identical replica
+placements, comm orders and observer ``StepRecord`` streams.  The
+kernel's evaluation counters are pinned too.
 
 The corpus spans 32 problems — npf in {0, 1, 2} x npl in {0, 1} x
 ring / star / fully-connected / bus topologies x two seeds — plus the
 scheduler option variants, the scalar (numpy-free) sweep fallback, the
 pinned-memory fallback, and the HBP baseline's kernel path.  The
 ``PINNED_COUNTERS`` literals are the (pressure_evaluations, cache_hits)
-pairs of the PR-1 incremental engine; with ``symmetry=False`` both
-engines must keep landing on them exactly.  With symmetry pruning on
+pairs of the exhaustive dirty-set cache; with ``symmetry=False`` the
+kernel must keep landing on them exactly.  With symmetry pruning on
 (the default) the *schedules and observer streams stay bit-identical*
 but the counters drop on the symmetric topologies — those land on the
 ``PRUNED_COUNTERS`` pins (evaluations, hits, pruned pairs) instead;
@@ -40,14 +39,14 @@ from repro.timing.comm_times import CommunicationTimes
 from repro.workloads.paper_example import build_problem
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
 
-OBJECT = SchedulerOptions(compiled=False)
-OBJECT_LEGACY = SchedulerOptions(compiled=False, incremental=False)
+#: The reference engine: the seed full-recompute loop.
+REFERENCE = SchedulerOptions(compiled=False)
 COMPILED = SchedulerOptions()
 COMPILED_NOSYM = SchedulerOptions(symmetry=False)
-COMPILED_LEGACY = SchedulerOptions(incremental=False)
 
-#: (pressure_evaluations, cache_hits) of the PR-1 incremental engine
-#: over the corpus; the compiled engine must match them exactly.
+#: (pressure_evaluations, cache_hits) of the exhaustive dirty-set cache
+#: over the corpus; the kernel with ``symmetry=False`` must match them
+#: exactly.
 PINNED_COUNTERS = {
     "fc4-npf0-seed21": (84, 160),
     "bus4-npf0-seed21": (72, 172),
@@ -129,7 +128,7 @@ def _vector_sweep_everywhere(monkeypatch):
     The corpus problems sit below ``_VECTOR_MIN_CELLS`` (a pure speed
     gate — both sweeps are bit-identical), and this module's job is to
     pin the *vector* machinery (replay pools, batched passes) against
-    the object engine.  ``test_small_problem_gates_to_scalar_sweep``
+    the reference engine.  ``test_small_problem_gates_to_scalar_sweep``
     covers the gate itself.
     """
     monkeypatch.setattr(kernel_module, "_VECTOR_MIN_CELLS", 0)
@@ -205,27 +204,20 @@ def corpus_case(label: str) -> ProblemSpec:
 
 @pytest.mark.parametrize("label", sorted(PINNED_COUNTERS))
 def test_compiled_bit_identical_and_counters_pinned(label):
-    """Compiled == object engine, incremental on and off, over the corpus."""
+    """Kernel == reference engine over the corpus; kernel counters pinned."""
     problem = corpus_case(label)
-    object_trace = ftbar_trace(problem, OBJECT)
+    reference_trace = ftbar_trace(problem, REFERENCE)
     compiled_trace = ftbar_trace(problem, COMPILED)
-    assert compiled_trace == object_trace, f"{label}: engines diverge"
-    assert ftbar_trace(problem, COMPILED_LEGACY) == ftbar_trace(
-        problem, OBJECT_LEGACY
-    ), f"{label}: non-incremental paths diverge"
-    assert ftbar_trace(problem, COMPILED_NOSYM) == object_trace, (
+    assert compiled_trace == reference_trace, f"{label}: engines diverge"
+    assert ftbar_trace(problem, COMPILED_NOSYM) == reference_trace, (
         f"{label}: symmetry=False diverges"
     )
-    object_result = schedule_ftbar(problem, OBJECT)
+    reference_result = schedule_ftbar(problem, REFERENCE)
     nosym_result = schedule_ftbar(problem, COMPILED_NOSYM)
     counters = (
         nosym_result.stats.pressure_evaluations,
         nosym_result.stats.cache_hits,
     )
-    assert counters == (
-        object_result.stats.pressure_evaluations,
-        object_result.stats.cache_hits,
-    ), f"{label}: counters diverge between engines"
     assert counters == PINNED_COUNTERS[label], (
         f"{label}: counters moved from the pinned PR-1 values"
     )
@@ -237,7 +229,8 @@ def test_compiled_bit_identical_and_counters_pinned(label):
     ) == PRUNED_COUNTERS[label], (
         f"{label}: symmetry-pruned counters moved from their pins"
     )
-    assert object_result.stats.symmetry_pruned == 0
+    assert reference_result.stats.cache_hits == 0
+    assert reference_result.stats.symmetry_pruned == 0
     assert nosym_result.stats.symmetry_pruned == 0
 
 
@@ -266,7 +259,7 @@ def test_scalar_sweep_matches_vector_sweep(monkeypatch):
 def test_pinned_memory_problem_uses_scalar_sweep_bit_identically():
     """Memory halves (pinned pools) fall back to the scalar sweep."""
     problem = build_problem()
-    assert ftbar_trace(problem, COMPILED) == ftbar_trace(problem, OBJECT)
+    assert ftbar_trace(problem, COMPILED) == ftbar_trace(problem, REFERENCE)
 
 
 @pytest.mark.parametrize(
@@ -288,6 +281,7 @@ def test_option_variants_bit_identical(options):
 
 
 def test_link_insertion_falls_back_to_object_path():
+    # The object path is the reference engine.
     """Gap insertion is not modelled by the kernel; compiled is a no-op."""
     problem = generate_problem(
         RandomWorkloadConfig(operations=16, ccr=1.0, processors=4, npf=1, seed=5)
@@ -303,7 +297,7 @@ def test_link_insertion_falls_back_to_object_path():
 
 
 def test_fallback_warning_only_on_compiled_link_insertion(recwarn):
-    """Neither plain compiled nor explicit object runs warn."""
+    """Neither plain compiled nor explicit reference runs warn."""
     problem = generate_problem(
         RandomWorkloadConfig(operations=10, ccr=1.0, processors=3, npf=1, seed=5)
     )
@@ -323,7 +317,7 @@ def test_heterogeneous_problem_bit_identical():
             heterogeneous=True,
         )
     )
-    assert ftbar_trace(problem, COMPILED) == ftbar_trace(problem, OBJECT)
+    assert ftbar_trace(problem, COMPILED) == ftbar_trace(problem, REFERENCE)
 
 
 def test_hbp_kernel_path_bit_identical_with_matching_counters():
@@ -345,8 +339,11 @@ def test_hbp_kernel_path_bit_identical_with_matching_counters():
         ]
         assert events(compiled) == events(plain)
         assert comms(compiled) == comms(plain)
-        assert compiled.stats.pair_evaluations == plain.stats.pair_evaluations
-        assert compiled.stats.pair_cache_hits == plain.stats.pair_cache_hits
+        # The reference recomputes every pair the kernel probes.
+        assert plain.stats.pair_cache_hits == 0
+        assert plain.stats.pair_evaluations == (
+            compiled.stats.pair_evaluations + compiled.stats.pair_cache_hits
+        )
 
 
 def test_static_tables_match_pressure_calculator():

@@ -1,18 +1,20 @@
-"""Seed-equivalence corpus for the incremental scheduling engine.
+"""Seed-equivalence corpus for the two scheduling engines.
 
-The incremental engine (dirty-set pressure caching, O(1) ready-set
-maintenance, indexed schedule state) must be a pure-performance change:
-bit-identical replica placements, comm orders and observer
-``StepRecord`` streams.  Two layers of protection:
+The compiled kernel (the fast path: dirty-set plan cache, O(1)
+ready-set maintenance) must be a pure-performance change against the
+reference engine (``SchedulerOptions(compiled=False)``, the seed
+full-recompute loop): bit-identical replica placements, comm orders and
+observer ``StepRecord`` streams.  Two layers of protection:
 
 * ``golden_engine_corpus.json`` stores SHA-256 fingerprints recorded
-  with the *seed* (pre-refactor) engine over a corpus of random-DAG
-  problems (seeds x npf in {0, 1, 2} x point-to-point/bus topologies);
-  both the incremental and the legacy (``incremental=False``) paths
-  must still land on them exactly;
-* old-vs-new comparisons re-run both paths in-process over the corpus,
-  the option variants and the paper example, comparing full event
-  streams rather than hashes so a failure names the diverging step.
+  with the *seed* engine over a corpus of random-DAG problems (seeds x
+  npf in {0, 1, 2} x point-to-point/bus topologies); both the kernel
+  (the ``incremental`` goldens) and the reference (the ``legacy``
+  goldens) must still land on them exactly;
+* kernel-vs-reference comparisons re-run both engines in-process over
+  the corpus, the option variants and the paper example, comparing full
+  event streams rather than hashes so a failure names the diverging
+  step.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ GOLDENS = json.loads(
     (Path(__file__).parent / "golden_engine_corpus.json").read_text()
 )
 
-LEGACY = SchedulerOptions(incremental=False)
+#: The reference engine: the seed full-recompute loop.
+REFERENCE = SchedulerOptions(compiled=False)
 
 
 def corpus_problem(seed: int, npf: int, topology: str):
@@ -99,10 +102,11 @@ CORPUS = [
 
 
 class TestSeedGoldens:
-    """Both paths still land exactly on the recorded seed fingerprints."""
+    """Both engines still land exactly on the recorded seed fingerprints."""
 
     @pytest.mark.parametrize("seed,npf,topology", CORPUS)
     def test_incremental_matches_seed_golden(self, seed, npf, topology):
+        # The kernel (default options), whose plan cache is incremental.
         problem = corpus_problem(seed, npf, topology)
         golden = GOLDENS[f"N18-seed{seed}-npf{npf}-{topology}"]
         trace = ftbar_trace(problem)
@@ -110,9 +114,10 @@ class TestSeedGoldens:
 
     @pytest.mark.parametrize("seed,npf,topology", CORPUS)
     def test_legacy_matches_seed_golden(self, seed, npf, topology):
+        # The reference engine: the seed full-recompute loop.
         problem = corpus_problem(seed, npf, topology)
         golden = GOLDENS[f"N18-seed{seed}-npf{npf}-{topology}"]
-        trace = ftbar_trace(problem, LEGACY)
+        trace = ftbar_trace(problem, REFERENCE)
         assert ftbar_fingerprint(trace) == golden["sha256"]
 
     @pytest.mark.parametrize("seed", (1, 2, 3))
@@ -124,14 +129,12 @@ class TestSeedGoldens:
 
 
 class TestOldVsNew:
-    """Incremental vs legacy compared step-by-step, not just by hash."""
+    """Kernel vs reference compared step-by-step, not just by hash."""
 
     def assert_identical(self, problem, options_kwargs=None):
         kwargs = options_kwargs or {}
         new = ftbar_trace(problem, SchedulerOptions(**kwargs))
-        old = ftbar_trace(
-            problem, SchedulerOptions(**kwargs, incremental=False)
-        )
+        old = ftbar_trace(problem, SchedulerOptions(**kwargs, compiled=False))
         assert new[0] == old[0], "replica placements diverge"
         assert new[1] == old[1], "comm orders diverge"
         for new_step, old_step in zip(new[2], old[2]):
@@ -171,7 +174,7 @@ class TestOldVsNew:
 
     def test_multi_hop_ring(self):
         # A ring forces store-and-forward routes, exercising the
-        # non-repairable plan path of the cache.
+        # kernel cache's non-repairable plan path.
         from repro.hardware.topologies import ring
         from repro.problem import ProblemSpec
         from repro.timing.comm_times import CommunicationTimes
@@ -203,9 +206,9 @@ class TestOldVsNew:
     def test_cache_actually_serves_hits(self):
         result = schedule_ftbar(corpus_problem(1, 1, "p2p"))
         assert result.stats.cache_hits > 0
-        legacy = schedule_ftbar(corpus_problem(1, 1, "p2p"), LEGACY)
-        assert legacy.stats.cache_hits == 0
+        reference = schedule_ftbar(corpus_problem(1, 1, "p2p"), REFERENCE)
+        assert reference.stats.cache_hits == 0
         assert (
             result.stats.pressure_evaluations
-            < legacy.stats.pressure_evaluations
+            < reference.stats.pressure_evaluations
         )

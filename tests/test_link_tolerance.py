@@ -4,7 +4,7 @@ Covers the acceptance criteria of the unified resource-failure model:
 
 * ``npl = 0`` is bit-identical to the paper-era engine (no ``npl`` /
   ``route`` keys in serialized documents, same schedules from the
-  incremental and legacy paths — the golden corpus of
+  kernel and the reference engine — the golden corpus of
   ``test_engine_equivalence.py`` pins the rest);
 * ``npl >= 1`` schedules place every inter-processor transfer on
   ``Npl + 1`` pairwise link-disjoint routes and pass the independent
@@ -179,13 +179,15 @@ class TestNplScheduling:
         assert any(c.route == 1 for c in result.schedule.all_comms())
 
     def test_incremental_and_legacy_engines_identical_at_npl_one(self):
+        # The kernel (fast, incremental plan cache) against the
+        # reference engine (the seed full-recompute loop).
         for seed in (0, 1):
             problem = build_problem(
                 WorkloadSpec(family="random", size=12),
                 "fully_connected", 4, 1, 0.5, seed, npl=1,
             )
-            fast = schedule_ftbar(problem, SchedulerOptions(incremental=True))
-            slow = schedule_ftbar(problem, SchedulerOptions(incremental=False))
+            fast = schedule_ftbar(problem, SchedulerOptions())
+            slow = schedule_ftbar(problem, SchedulerOptions(compiled=False))
             assert schedule_to_dict(fast.schedule) == schedule_to_dict(slow.schedule)
 
     def test_schedule_round_trips_with_routes(self):

@@ -26,7 +26,7 @@ from repro.schedule.serialization import content_hash, schedule_to_dict
 from repro.timing.comm_times import CommunicationTimes
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
 
-OBJECT = SchedulerOptions(compiled=False)
+REFERENCE = SchedulerOptions(compiled=False)
 COMPILED = SchedulerOptions()
 COMPILED_NOSYM = SchedulerOptions(symmetry=False)
 
@@ -125,8 +125,8 @@ def test_pruned_indistinguishable_from_unpruned(topology, npf, npl, seed):
     assert ftbar_fingerprint(pruned_trace) == ftbar_fingerprint(
         unpruned_trace
     ), f"{label}: fingerprints diverge"
-    assert pruned_trace == ftbar_trace(problem, OBJECT), (
-        f"{label}: compiled diverges from the object engine"
+    assert pruned_trace == ftbar_trace(problem, REFERENCE), (
+        f"{label}: compiled diverges from the reference engine"
     )
 
     pruned = schedule_ftbar(problem, COMPILED)
