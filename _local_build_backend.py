@@ -31,7 +31,9 @@ SUMMARY = (
     "FTBAR: distributed and fault-tolerant static scheduling "
     "(reproduction of Girault et al., DSN 2003)"
 )
-REQUIRES = ["networkx>=2.6"]
+#: No runtime dependency: numpy is an optional speed-up of the kernel's
+#: vector sweep, networkx an optional export (``to_networkx``).
+REQUIRES: list[str] = []
 TAG = "py3-none-any"
 
 _METADATA = "\n".join(

@@ -27,65 +27,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from repro import obs
-from repro.analysis import (
-    audit_schedule,
-    degraded_lengths,
-    event_boundary_times,
-    format_schedule_report,
-    fault_tolerance_certificate,
-    format_ablation,
-    format_bus_comparison,
-    format_optimality_gap,
-    mean_time_to_failure_iterations,
-    run_bus_comparison,
-    run_optimality_gap,
-    schedule_reliability,
-    format_npf_sweep,
-    format_overhead_sweep,
-    format_paper_example,
-    format_runtime_comparison,
-    run_ablation,
-    run_npf_sweep,
-    run_overhead_vs_ccr,
-    run_overhead_vs_operations,
-    run_paper_example,
-    run_runtime_comparison,
-)
-from repro.core import SchedulerOptions, schedule_ftbar
 from repro.exceptions import ReproError
-from repro.schedule import (
-    render_gantt,
-    schedule_table,
-    schedule_to_dot,
-    validate_schedule,
-)
-from repro.schedule.serialization import (
-    load_json,
-    problem_from_dict,
-    problem_to_dict,
-    save_json,
-    schedule_to_dict,
-)
-from repro.simulation import (
-    DetectionPolicy,
-    FailureScenario,
-    ProcessorFailure,
-    simulate,
-    simulate_iterations,
-)
-from repro.workloads import (
-    PAPER_BASIC_LENGTH,
-    PAPER_DEGRADED_LENGTHS,
-    PAPER_FT_LENGTH,
-    PAPER_OVERHEAD,
-    RandomWorkloadConfig,
-    build_problem,
-    generate_problem,
-)
+from repro.simulation.executor import DetectionPolicy
+
+# Each ``_cmd_*`` handler imports what it runs from concrete submodules,
+# so a process loads only its own verb's code: ``schedule`` never loads
+# numpy, the campaign layer or the experiment harness.
 
 
 def _add_trace_flag(sub: argparse.ArgumentParser) -> None:
@@ -633,7 +585,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_problem(path: Path):
+    """Read and validate a problem JSON file."""
+    from repro.schedule.serialization import load_json, problem_from_dict
+
+    return problem_from_dict(load_json(path))
+
+
 def _cmd_example(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import run_paper_example
+    from repro.analysis.reporting import format_paper_example
+    from repro.core.ftbar import schedule_ftbar
+    from repro.schedule.gantt import render_gantt
+    from repro.workloads.paper_example import (
+        PAPER_BASIC_LENGTH,
+        PAPER_DEGRADED_LENGTHS,
+        PAPER_FT_LENGTH,
+        PAPER_OVERHEAD,
+        build_problem,
+    )
+
     results = run_paper_example()
     references = {
         "ft_length": PAPER_FT_LENGTH,
@@ -650,7 +621,12 @@ def _cmd_example(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    problem = problem_from_dict(load_json(args.problem))
+    from repro.core.ftbar import schedule_ftbar
+    from repro.core.options import SchedulerOptions
+    from repro.schedule.gantt import render_gantt, schedule_table
+    from repro.schedule.serialization import save_json, schedule_to_dict
+
+    problem = _load_problem(args.problem)
     if args.npf is not None:
         problem.npf = args.npf
     if args.npl is not None:
@@ -671,6 +647,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         save_json(schedule_to_dict(result.schedule), args.output)
         print(f"\nschedule written to {args.output}")
     if args.dot is not None:
+        from repro.schedule.graphviz import schedule_to_dot
+
         args.dot.write_text(schedule_to_dot(result.schedule))
         print(f"DOT rendering written to {args.dot}")
     return 0
@@ -682,7 +660,12 @@ def _parse_crash(spec: str) -> tuple[str, float]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    problem = problem_from_dict(load_json(args.problem))
+    from repro.analysis.metrics import degraded_lengths
+    from repro.core.ftbar import schedule_ftbar
+    from repro.simulation.executor import simulate
+    from repro.simulation.failures import FailureScenario, ProcessorFailure
+
+    problem = _load_problem(args.problem)
     result = schedule_ftbar(problem)
     algorithm = result.expanded_algorithm
     print(result.schedule.summary())
@@ -711,7 +694,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    problem = problem_from_dict(load_json(args.problem))
+    from repro.analysis.summary import audit_schedule, format_schedule_report
+    from repro.core.ftbar import schedule_ftbar
+
+    problem = _load_problem(args.problem)
     result = schedule_ftbar(problem)
     report = audit_schedule(result)
     print(format_schedule_report(report))
@@ -719,7 +705,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_iterate(args: argparse.Namespace) -> int:
-    problem = problem_from_dict(load_json(args.problem))
+    from repro.core.ftbar import schedule_ftbar
+    from repro.simulation.failures import FailureScenario, ProcessorFailure
+    from repro.simulation.iterative import simulate_iterations
+
+    problem = _load_problem(args.problem)
     result = schedule_ftbar(problem)
     algorithm = result.expanded_algorithm
     print(result.schedule.summary())
@@ -749,7 +739,10 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    problem = problem_from_dict(load_json(args.problem))
+    from repro.core.ftbar import schedule_ftbar
+    from repro.schedule.validation import validate_schedule
+
+    problem = _load_problem(args.problem)
     result = schedule_ftbar(problem)
     print(result.schedule.summary())
     report = validate_schedule(
@@ -765,7 +758,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_reliability(args: argparse.Namespace) -> int:
-    problem = problem_from_dict(load_json(args.problem))
+    from repro.analysis.reliability import (
+        event_boundary_times,
+        fault_tolerance_certificate,
+        mean_time_to_failure_iterations,
+        schedule_reliability,
+    )
+    from repro.core.ftbar import schedule_ftbar
+    from repro.simulation.batch import BatchScenarioEngine
+
+    problem = _load_problem(args.problem)
     result = schedule_ftbar(problem)
     print(result.schedule.summary())
     times = (
@@ -775,8 +777,6 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
     )
     # One engine serves the certificate and the reliability sum, so the
     # schedule is compiled (and each scenario simulated) only once.
-    from repro.simulation.batch import BatchScenarioEngine
-
     engine = BatchScenarioEngine(result.schedule, result.expanded_algorithm)
     certificate = fault_tolerance_certificate(
         result.schedule,
@@ -803,11 +803,21 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from repro.analysis.reliability import (
+        event_boundary_times,
+        fault_tolerance_certificate,
+        mean_time_to_failure_iterations,
+        schedule_reliability,
+    )
+    from repro.core.ftbar import schedule_ftbar
+    from repro.schedule.serialization import save_json
     from repro.simulation.batch import BatchScenarioEngine
 
     if args.problem is not None:
-        problem = problem_from_dict(load_json(args.problem))
+        problem = _load_problem(args.problem)
     else:
+        from repro.workloads.paper_example import build_problem
+
         problem = build_problem()
         print("(no problem file given — certifying the paper's example)")
     if args.npl is not None:
@@ -910,6 +920,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.schedule.serialization import problem_to_dict, save_json
+    from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
+
     problem = generate_problem(
         RandomWorkloadConfig(
             operations=args.operations,
@@ -956,16 +969,14 @@ _PERF_SMOKE_PINS = {
 def _bench_smoke() -> int:
     """Schedule the pinned problems; fail on any counter drift."""
     from repro.baselines.hbp import schedule_hbp
-    from repro.workloads.random_dag import (
-        RandomWorkloadConfig as _Config,
-        generate_problem as _generate,
-    )
+    from repro.core.ftbar import schedule_ftbar
+    from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
 
-    problem_40 = _generate(
-        _Config(operations=40, ccr=1.0, processors=4, npf=1, seed=2003)
+    problem_40 = generate_problem(
+        RandomWorkloadConfig(operations=40, ccr=1.0, processors=4, npf=1, seed=2003)
     )
-    problem_24 = _generate(
-        _Config(operations=24, ccr=2.0, processors=4, npf=2, seed=7)
+    problem_24 = generate_problem(
+        RandomWorkloadConfig(operations=24, ccr=2.0, processors=4, npf=2, seed=7)
     )
     ftbar_40 = schedule_ftbar(problem_40)
     ftbar_24 = schedule_ftbar(problem_24)
@@ -1057,6 +1068,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("error: a figure is required unless --profile/--smoke is given",
               file=sys.stderr)
         return 2
+    from repro.analysis.experiments import (
+        run_ablation,
+        run_bus_comparison,
+        run_npf_sweep,
+        run_optimality_gap,
+        run_overhead_vs_ccr,
+        run_overhead_vs_operations,
+        run_runtime_comparison,
+    )
+    from repro.analysis.reporting import (
+        format_ablation,
+        format_bus_comparison,
+        format_npf_sweep,
+        format_optimality_gap,
+        format_overhead_sweep,
+        format_runtime_comparison,
+    )
+
     if args.figure == "figure9":
         sweep = run_overhead_vs_operations(graphs_per_point=graphs, jobs=jobs)
         print(format_overhead_sweep(sweep, "Figure 9 — overhead vs N (CCR=5, P=4)"))
@@ -1391,11 +1420,12 @@ def main(argv: list[str] | None = None) -> int:
             obs.enable(flag or None, meta={"command": args.command})
         else:
             obs.configure_from_env()
-        from repro.faultinject import configure_from_env as _fault_env
-
         # REPRO_FAULT_PLAN arms fault injection in any sub-command —
         # how chaos subprocesses and CI smoke runs inherit a plan.
-        _fault_env()
+        if os.environ.get("REPRO_FAULT_PLAN"):
+            from repro.faultinject.runtime import configure_from_env
+
+            configure_from_env()
     try:
         with obs.span(f"cli.{args.command}"):
             return _COMMANDS[args.command](args)

@@ -1,29 +1,6 @@
 """FTBAR — the paper's fault-tolerant scheduling heuristic (section 4)."""
 
-from repro.core.compile import CompiledProblem
-from repro.core.ftbar import (
-    FTBARResult,
-    FTBARScheduler,
-    FTBARStats,
-    StepRecord,
-    schedule_ftbar,
-)
-from repro.core.kernel import (
-    CompiledReadySet,
-    KernelPlanCache,
-    SchedulingKernel,
-)
-from repro.core.minimize import DuplicationStats, StartTimeMinimizer
-from repro.core.options import SchedulerOptions
-from repro.core.placement import (
-    LinkState,
-    PlacementPlan,
-    PlacementPlanner,
-    PlannedComm,
-    PredecessorFeed,
-    commit_plan,
-)
-from repro.core.pressure import PressureCalculator
+from repro._lazy import lazy_namespace
 
 __all__ = [
     "CompiledProblem",
@@ -46,3 +23,30 @@ __all__ = [
     "commit_plan",
     "schedule_ftbar",
 ]
+
+# Public names resolve on first read (PEP 562): see repro._lazy.
+__getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "compile": ("CompiledProblem",),
+        "ftbar": (
+            "FTBARResult",
+            "FTBARScheduler",
+            "FTBARStats",
+            "StepRecord",
+            "schedule_ftbar",
+        ),
+        "kernel": ("CompiledReadySet", "KernelPlanCache", "SchedulingKernel"),
+        "minimize": ("DuplicationStats", "StartTimeMinimizer"),
+        "options": ("SchedulerOptions",),
+        "placement": (
+            "LinkState",
+            "PlacementPlan",
+            "PlacementPlanner",
+            "PlannedComm",
+            "PredecessorFeed",
+            "commit_plan",
+        ),
+        "pressure": ("PressureCalculator",),
+    },
+)

@@ -95,14 +95,10 @@ through the exact calls the reference engine's ``commit_plan`` makes.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import time
 from typing import Any, Iterable
-
-try:  # Vectorised sweep; the kernel degrades to its pure-Python loops
-    import numpy as _np  # when numpy is not installed (results identical).
-except ImportError:  # pragma: no cover - numpy present in the dev image
-    _np = None
 
 from repro.core.compile import CompiledProblem
 from repro.core.minimize import DuplicationStats
@@ -112,6 +108,12 @@ from repro.exceptions import InfeasibleReplicationError, SchedulingError
 from repro.schedule.schedule import Schedule
 
 _INF = math.inf
+#: The vectorised sweep's numpy, imported by :func:`_numpy` when the
+#: first kernel passes the vector gate; ``None`` when numpy is not
+#: installed, and the kernel then runs its pure-Python loops (results
+#: identical).  Setting ``_np = None`` forces the scalar sweep.
+_UNLOADED: Any = object()
+_np: Any = _UNLOADED
 #: Sigma matrices smaller than this stay on one thread: the sharding
 #: dispatch costs more than the partition it would split.
 _PARALLEL_MIN_ELEMS = 4096
@@ -334,6 +336,25 @@ class CompiledReadySet:
             self._waiting[operation] = remaining
 
 
+def _numpy() -> Any:
+    """numpy, imported on first call; ``None`` when it is not installed."""
+    global _np
+    if _np is _UNLOADED:
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - numpy present in the dev image
+            numpy = None
+        _np = numpy
+    return _np
+
+
+def _numpy_available() -> bool:
+    """Whether :func:`_numpy` would return numpy, without importing it."""
+    if _np is _UNLOADED:
+        return importlib.util.find_spec("numpy") is not None
+    return _np is not None
+
+
 class _RowPool:
     """Append-only column store for the replay pools.
 
@@ -419,7 +440,7 @@ class SchedulingKernel:
         self._duplication = duplication
         self._P = compiled.n_procs
         self._all_procs = tuple(range(compiled.n_procs))
-        self._workers = workers if _np is not None else 0
+        self._workers = workers if workers and _numpy_available() else 0
         # Macro-step trial batching is exact only when every overlay
         # advance matches the committed advance: on all-direct
         # interconnects (every ordered pair has a direct link and
@@ -489,11 +510,12 @@ class SchedulingKernel:
         # arithmetic and the scalar sweep is faster — unless a worker
         # pool was requested, which only the vector sweep can shard.
         self._vector = (
-            vector and _np is not None and not compiled.pins
+            vector and not compiled.pins
             and (
                 compiled.n_ops * compiled.n_procs >= _VECTOR_MIN_CELLS
                 or self._workers >= 2
             )
+            and _numpy() is not None
         )
         if self._vector:
             size = compiled.n_ops * compiled.n_procs

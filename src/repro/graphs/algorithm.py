@@ -11,9 +11,8 @@ expansion of :meth:`AlgorithmGraph.expand_memories`).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
-
-import networkx as nx
+import heapq
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.exceptions import GraphError
 from repro.graphs.operations import (
@@ -23,13 +22,16 @@ from repro.graphs.operations import (
     memory_write_name,
 )
 
+if TYPE_CHECKING:  # optional export dependency, see ``to_networkx``
+    import networkx as nx
+
 
 class AlgorithmGraph:
     """A directed data-flow graph of :class:`Operation` vertices.
 
-    The class wraps a :class:`networkx.DiGraph` and adds the paper's
-    domain vocabulary (operations, data-dependencies, sources/sinks,
-    levels) plus validation.  All query methods return deterministically
+    The class keeps plain adjacency dicts and adds the paper's domain
+    vocabulary (operations, data-dependencies, sources/sinks, levels)
+    plus validation.  All query methods return deterministically
     ordered results so that the scheduler is reproducible.
 
     Examples
@@ -44,7 +46,12 @@ class AlgorithmGraph:
 
     def __init__(self, name: str = "algorithm") -> None:
         self.name = name
-        self._graph = nx.DiGraph()
+        #: Operations by name, in insertion order.
+        self._ops: dict[str, Operation] = {}
+        #: ``source -> {target: data_size}`` and its mirror
+        #: ``target -> {source: data_size}``.
+        self._succ: dict[str, dict[str, float]] = {}
+        self._pred: dict[str, dict[str, float]] = {}
         # Memoized adjacency views: the scheduler asks for the (sorted)
         # predecessors/successors of an operation on every trial plan.
         self._pred_view: dict[str, tuple[str, ...]] = {}
@@ -72,15 +79,17 @@ class AlgorithmGraph:
             op = operation
         else:
             op = Operation(str(operation), OperationKind(kind))
-        if op.name in self._graph:
-            existing: Operation = self._graph.nodes[op.name]["operation"]
+        existing = self._ops.get(op.name)
+        if existing is not None:
             if existing.kind is not op.kind:
                 raise GraphError(
                     f"operation {op.name!r} already exists with kind "
                     f"{existing.kind.value!r} (got {op.kind.value!r})"
                 )
             return existing
-        self._graph.add_node(op.name, operation=op)
+        self._ops[op.name] = op
+        self._succ[op.name] = {}
+        self._pred[op.name] = {}
         self._version += 1
         return op
 
@@ -91,13 +100,13 @@ class AlgorithmGraph:
         are derived from link bandwidths instead of explicit tables.
         """
         for endpoint in (source, target):
-            if endpoint not in self._graph:
+            if endpoint not in self._ops:
                 raise GraphError(f"unknown operation {endpoint!r}")
         if source == target:
             raise GraphError(f"self dependency on {source!r} is not allowed")
         if data_size <= 0:
             raise GraphError(f"data_size must be positive, got {data_size!r}")
-        self._graph.add_edge(source, target, data_size=float(data_size))
+        self._succ[source][target] = self._pred[target][source] = float(data_size)
         self._pred_view.pop(target, None)
         self._succ_view.pop(source, None)
         self._version += 1
@@ -106,10 +115,10 @@ class AlgorithmGraph:
     # queries
     # ------------------------------------------------------------------
     def __contains__(self, name: object) -> bool:
-        return name in self._graph
+        return name in self._ops
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._ops)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.operation_names())
@@ -117,13 +126,13 @@ class AlgorithmGraph:
     def operation(self, name: str) -> Operation:
         """The :class:`Operation` stored under ``name``."""
         try:
-            return self._graph.nodes[name]["operation"]
+            return self._ops[name]
         except KeyError:
             raise GraphError(f"unknown operation {name!r}") from None
 
     def operation_names(self) -> tuple[str, ...]:
         """All vertex names, sorted for determinism."""
-        return tuple(sorted(self._graph.nodes))
+        return tuple(sorted(self._ops))
 
     def operations(self) -> tuple[Operation, ...]:
         """All :class:`Operation` objects, sorted by name."""
@@ -131,27 +140,31 @@ class AlgorithmGraph:
 
     def dependencies(self) -> tuple[tuple[str, str], ...]:
         """All data-dependency edges, sorted for determinism."""
-        return tuple(sorted(self._graph.edges))
+        return tuple(sorted(
+            (source, target)
+            for source, targets in self._succ.items()
+            for target in targets
+        ))
 
     def data_size(self, source: str, target: str) -> float:
         """Abstract data volume of the edge ``source . target``."""
         try:
-            return self._graph.edges[source, target]["data_size"]
+            return self._succ[source][target]
         except KeyError:
             raise GraphError(f"unknown dependency {source!r} -> {target!r}") from None
 
     def has_dependency(self, source: str, target: str) -> bool:
         """True when the edge ``source . target`` exists."""
-        return self._graph.has_edge(source, target)
+        return target in self._succ.get(source, ())
 
     def predecessors(self, name: str) -> tuple[str, ...]:
         """Direct predecessors of ``name``, sorted."""
         cached = self._pred_view.get(name)
         if cached is not None:
             return cached
-        if name not in self._graph:
+        if name not in self._ops:
             raise GraphError(f"unknown operation {name!r}")
-        result = tuple(sorted(self._graph.predecessors(name)))
+        result = tuple(sorted(self._pred[name]))
         self._pred_view[name] = result
         return result
 
@@ -160,36 +173,62 @@ class AlgorithmGraph:
         cached = self._succ_view.get(name)
         if cached is not None:
             return cached
-        if name not in self._graph:
+        if name not in self._ops:
             raise GraphError(f"unknown operation {name!r}")
-        result = tuple(sorted(self._graph.successors(name)))
+        result = tuple(sorted(self._succ[name]))
         self._succ_view[name] = result
         return result
 
     def sources(self) -> tuple[str, ...]:
         """Operations without predecessors (the external input interfaces)."""
-        return tuple(n for n in self.operation_names() if self._graph.in_degree(n) == 0)
+        return tuple(n for n in self.operation_names() if not self._pred[n])
 
     def sinks(self) -> tuple[str, ...]:
         """Operations without successors (the external output interfaces)."""
-        return tuple(n for n in self.operation_names() if self._graph.out_degree(n) == 0)
+        return tuple(n for n in self.operation_names() if not self._succ[n])
 
     def number_of_dependencies(self) -> int:
         """Number of data-dependency edges."""
-        return self._graph.number_of_edges()
+        return sum(len(targets) for targets in self._succ.values())
 
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
+    def _kahn_order(self, within: Iterable[str] | None = None) -> list[str]:
+        """Kahn's algorithm, smallest ready name first.
+
+        Runs on the subgraph induced by ``within`` (default: the whole
+        graph).  Returns all of its vertices when it is a DAG — in the
+        lexicographical topological order — and fewer when cycles block
+        the rest.
+        """
+        nodes = self._ops if within is None else set(within)
+        indegree = {
+            name: sum(pred in nodes for pred in self._pred[name]) for name in nodes
+        }
+        ready = [name for name, degree in indegree.items() if degree == 0]
+        heapq.heapify(ready)
+        order: list[str] = []
+        while ready:
+            name = heapq.heappop(ready)
+            order.append(name)
+            for successor in self._succ[name]:
+                if successor in indegree:
+                    indegree[successor] -= 1
+                    if indegree[successor] == 0:
+                        heapq.heappush(ready, successor)
+        return order
+
     def is_acyclic(self) -> bool:
         """True when the graph is a DAG (memories must be expanded first)."""
-        return nx.is_directed_acyclic_graph(self._graph)
+        return len(self._kahn_order()) == len(self._ops)
 
     def topological_order(self) -> tuple[str, ...]:
-        """A deterministic topological order of the operations."""
-        if not self.is_acyclic():
+        """The lexicographically smallest topological order of the operations."""
+        order = self._kahn_order()
+        if len(order) != len(self._ops):
             raise GraphError(f"graph {self.name!r} contains a cycle")
-        return tuple(nx.lexicographical_topological_sort(self._graph))
+        return tuple(order)
 
     def levels(self) -> Mapping[str, int]:
         """ASAP level of each operation (sources are level 0)."""
@@ -211,17 +250,29 @@ class AlgorithmGraph:
             height[node] = 0 if not succs else 1 + max(height[s] for s in succs)
         return height
 
+    def _reachable(
+        self, name: str, adjacency: dict[str, dict[str, float]]
+    ) -> frozenset[str]:
+        """Vertices reachable from ``name`` along ``adjacency`` (excluded)."""
+        if name not in self._ops:
+            raise GraphError(f"unknown operation {name!r}")
+        seen: set[str] = set()
+        stack = [name]
+        while stack:
+            for neighbour in adjacency[stack.pop()]:
+                if neighbour not in seen:
+                    seen.add(neighbour)
+                    stack.append(neighbour)
+        seen.discard(name)
+        return frozenset(seen)
+
     def descendants(self, name: str) -> frozenset[str]:
         """All operations reachable from ``name`` (excluded)."""
-        if name not in self._graph:
-            raise GraphError(f"unknown operation {name!r}")
-        return frozenset(nx.descendants(self._graph, name))
+        return self._reachable(name, self._succ)
 
     def ancestors(self, name: str) -> frozenset[str]:
         """All operations from which ``name`` is reachable (excluded)."""
-        if name not in self._graph:
-            raise GraphError(f"unknown operation {name!r}")
-        return frozenset(nx.ancestors(self._graph, name))
+        return self._reachable(name, self._pred)
 
     def memory_operations(self) -> tuple[str, ...]:
         """Names of all ``mem`` vertices, sorted."""
@@ -242,12 +293,34 @@ class AlgorithmGraph:
         if self.is_acyclic():
             return
         # A cycle is legal only when it traverses a mem vertex; expansion
-        # then breaks it.  Check every simple cycle touches a memory.
-        for cycle in nx.simple_cycles(self._graph):
-            if not any(self.operation(n).is_memory() for n in cycle):
-                raise GraphError(
-                    f"combinational cycle {' -> '.join(cycle)} in graph {self.name!r}"
-                )
+        # then breaks it.  Some cycle avoids every memory iff the graph
+        # minus its mem vertices is cyclic, so one Kahn pass over that
+        # subgraph decides it (no cycle enumeration).
+        cycle = self._combinational_cycle()
+        if cycle is not None:
+            raise GraphError(
+                f"combinational cycle {' -> '.join(cycle)} in graph {self.name!r}"
+            )
+
+    def _combinational_cycle(self) -> list[str] | None:
+        """A cycle avoiding every ``mem`` vertex, or ``None``.
+
+        The witness starts at its smallest name.
+        """
+        combinational = [n for n, op in self._ops.items() if not op.is_memory()]
+        blocked = set(combinational).difference(self._kahn_order(combinational))
+        if not blocked:
+            return None
+        # Kahn left each blocked vertex with a blocked predecessor, so
+        # walking backwards through them revisits a vertex: a cycle.
+        walk = [min(blocked)]
+        while True:
+            previous = min(p for p in self._pred[walk[-1]] if p in blocked)
+            if previous in walk:
+                cycle = walk[walk.index(previous):][::-1]
+                first = cycle.index(min(cycle))
+                return cycle[first:] + cycle[:first]
+            walk.append(previous)
 
     def expand_memories(self) -> tuple["AlgorithmGraph", Mapping[str, tuple[str, str]]]:
         """Split every ``mem`` M into ``M#read`` (source) and ``M#write``.
@@ -288,12 +361,26 @@ class AlgorithmGraph:
     def copy(self) -> "AlgorithmGraph":
         """Deep-enough copy (operations are immutable)."""
         clone = AlgorithmGraph(self.name)
-        clone._graph = self._graph.copy()
+        clone._ops = dict(self._ops)
+        clone._succ = {name: dict(out) for name, out in self._succ.items()}
+        clone._pred = {name: dict(into) for name, into in self._pred.items()}
         return clone
 
     def to_networkx(self) -> nx.DiGraph:
-        """A copy of the underlying :class:`networkx.DiGraph`."""
-        return self._graph.copy()
+        """The graph as a :class:`networkx.DiGraph` (needs networkx).
+
+        Nodes carry their :class:`Operation` under ``operation`` and
+        edges their ``data_size``.
+        """
+        import networkx as nx
+
+        graph = nx.DiGraph()
+        for name, op in self._ops.items():
+            graph.add_node(name, operation=op)
+        for source, targets in self._succ.items():
+            for target, size in targets.items():
+                graph.add_edge(source, target, data_size=size)
+        return graph
 
     def __repr__(self) -> str:
         return (

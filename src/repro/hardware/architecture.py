@@ -10,14 +10,15 @@ between replica processors, and the schedule validator can enforce that.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.exceptions import ArchitectureError
 from repro.hardware.link import Link, LinkKind
 from repro.hardware.processor import Processor
 from repro.hardware.routing import RouteHop, RoutePlanner
+
+if TYPE_CHECKING:  # optional export dependency, see ``to_networkx``
+    import networkx as nx
 
 
 class Architecture:
@@ -264,8 +265,13 @@ class Architecture:
                     f"no route from {root!r} to {other!r}"
                 ) from None
 
-    def to_networkx(self) -> nx.Graph:
-        """A multigraph view: processor nodes, one edge per link pair."""
+    def to_networkx(self) -> nx.MultiGraph:
+        """A multigraph view: processor nodes, one edge per link pair.
+
+        Needs networkx, which is imported here and nowhere else.
+        """
+        import networkx as nx
+
         graph = nx.MultiGraph(name=self.name)
         graph.add_nodes_from(self.processor_names())
         for link in self.links():

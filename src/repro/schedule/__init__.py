@@ -1,18 +1,6 @@
 """Static schedule model: events, timelines, validation, rendering."""
 
-from repro.schedule.events import ScheduledComm, ScheduledOperation
-from repro.schedule.gantt import render_gantt, schedule_table
-from repro.schedule.graphviz import (
-    algorithm_to_dot,
-    architecture_to_dot,
-    schedule_to_dot,
-)
-from repro.schedule.schedule import Schedule, ScheduleSnapshot
-from repro.schedule.validation import (
-    ValidationReport,
-    assert_valid_schedule,
-    validate_schedule,
-)
+from repro._lazy import lazy_namespace
 
 __all__ = [
     "Schedule",
@@ -28,3 +16,19 @@ __all__ = [
     "schedule_to_dot",
     "validate_schedule",
 ]
+
+# Public names resolve on first read (PEP 562): see repro._lazy.
+__getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "events": ("ScheduledComm", "ScheduledOperation"),
+        "gantt": ("render_gantt", "schedule_table"),
+        "graphviz": ("algorithm_to_dot", "architecture_to_dot", "schedule_to_dot"),
+        "schedule": ("Schedule", "ScheduleSnapshot"),
+        "validation": (
+            "ValidationReport",
+            "assert_valid_schedule",
+            "validate_schedule",
+        ),
+    },
+)

@@ -162,6 +162,38 @@ class TestStructure:
         graph.add_dependency("A", "M")
         graph.validate()
 
+    def test_topological_order_pops_the_smallest_ready_name(self):
+        graph = from_dependencies([("D", "B"), ("B", "A"), ("C", "A")])
+        assert graph.topological_order() == ("C", "D", "B", "A")
+
+    def test_validate_names_the_combinational_cycle(self):
+        # M closes two legal register cycles (through A and through D);
+        # A -> B -> C -> A avoids it and is the witness.
+        graph = from_dependencies(
+            [
+                ("A", "B"), ("B", "C"), ("C", "A"), ("C", "M"), ("M", "A"),
+                ("M", "D"), ("D", "M"),
+            ],
+            kinds={"M": OperationKind.MEMORY},
+        )
+        with pytest.raises(
+            GraphError,
+            match=r"^combinational cycle A -> B -> C in graph 'algorithm'$",
+        ):
+            graph.validate()
+
+    def test_validate_does_not_enumerate_register_cycles(self):
+        # Every cycle runs through M, and the complete DAG on 40 vertices
+        # between M's write and read sides holds 2**40 of them.
+        names = [f"T{i:02d}" for i in range(40)]
+        edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+        edges += [("M", name) for name in names]
+        edges += [(name, "M") for name in names]
+        graph = from_dependencies(edges, kinds={"M": OperationKind.MEMORY})
+        graph.validate()
+        expanded, _ = graph.expand_memories()
+        assert expanded.is_acyclic()
+
 
 class TestMemoryExpansion:
     def build_register_loop(self) -> AlgorithmGraph:
