@@ -263,7 +263,7 @@ def bench_sampled_certificate(
 
 
 def bench_agreement(processors: int, seed: int) -> dict:
-    """Exhaustive vs forced-sampled agreement on one small instance.
+    """Per-scenario reference vs forced-sampled agreement on one instance.
 
     The sampled machinery must land on the exhaustive truth: same
     refuted-or-not verdict, and the exhaustive reliability inside the
@@ -279,14 +279,12 @@ def bench_agreement(processors: int, seed: int) -> dict:
     engine = BatchScenarioEngine(schedule, algorithm)
     probabilities = {p: 0.05 for p in schedule.processor_names()}
 
-    exact_cert = fault_tolerance_certificate(
-        schedule, algorithm, method="exact", engine=engine
-    )
+    exact_cert = fault_tolerance_certificate(schedule, algorithm, batched=False)
     sampled_cert = fault_tolerance_certificate(
         schedule, algorithm, method="sampled", engine=engine
     )
     exact_rel = schedule_reliability(
-        schedule, algorithm, probabilities, method="exact", engine=engine
+        schedule, algorithm, probabilities, batched=False
     )
     sampled_rel = schedule_reliability(
         schedule, algorithm, probabilities, method="sampled", engine=engine

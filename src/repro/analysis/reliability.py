@@ -20,23 +20,21 @@ module quantifies both:
 Past the exhaustive regime (``P > 12`` or ``L > 12``) both switch to
 the adaptive machinery of :mod:`repro.analysis.sampling`: closed-form
 fault bounds, involved-set projection, and seeded stratified sampling
-with confidence intervals — a quantified verdict-with-error-bars where
-the legacy path could only cap its enumeration
-(``method="exact"`` keeps that path, and its
-:class:`CertificationCapWarning`, available).
+with confidence intervals — a quantified verdict-with-error-bars.
 
 Both run on the batched scenario engine by default
 (:class:`~repro.simulation.batch.BatchScenarioEngine`: compile-once
-replay, dirty-cone re-decision, footprint-equivalence pruning) and are
-bit-identical to the legacy one-simulation-per-scenario path, which
-``batched=False`` keeps available as the independent cross-check.
+replay, dirty-cone re-decision, footprint-equivalence pruning).
+``batched=False`` is the reference oracle: one full simulation per
+scenario over every subset, uncapped, against which
+:func:`certificate_mismatches` and :func:`reliability_mismatch` check
+the fast path.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -51,50 +49,14 @@ from repro.simulation.executor import DetectionPolicy, ScheduleSimulator
 from repro.simulation.failures import FailureScenario
 
 
-#: Beyond this many processors (or links) the per-level subset
-#: enumeration leaves the regime the exhaustive certifier was designed
-#: for; levels are then capped at :data:`MAX_SUBSETS_PER_LEVEL` subsets
-#: (taken in canonical order, deterministically) and the analysis emits
-#: a :class:`CertificationCapWarning` naming the cap and the enumerated
-#: fraction — never a silent weakening of the verdict.
+#: Beyond this many processors (or links) ``method="auto"`` reliability
+#: switches from exact ``2^P`` enumeration to stratified sampling.
 ENUMERATION_CAP = 12
 
-#: Per-(crash size, link size) level ceiling once a cap is exceeded.
+#: Largest (crash size, link size) level the certificate ladder
+#: enumerates subset by subset; bigger levels go through projection,
+#: bounds or sampling.
 MAX_SUBSETS_PER_LEVEL = 4096
-
-
-class CertificationCapWarning(UserWarning):
-    """The certificate sampled its subset enumeration instead of
-    sweeping it exhaustively.
-
-    Structured: ``resources`` names what exceeded the cap
-    (``"processors"`` and/or ``"links"``), ``cap`` the threshold,
-    ``enumerated_subsets`` / ``total_subsets`` the coverage and
-    ``sampled_fraction`` their ratio.  A capped certificate's
-    ``certified`` verdict only vouches for the enumerated subsets.
-    """
-
-    def __init__(
-        self,
-        resources: tuple[str, ...],
-        cap: int,
-        enumerated_subsets: int,
-        total_subsets: int,
-    ) -> None:
-        self.resources = resources
-        self.cap = cap
-        self.enumerated_subsets = enumerated_subsets
-        self.total_subsets = total_subsets
-        self.sampled_fraction = (
-            enumerated_subsets / total_subsets if total_subsets else 1.0
-        )
-        super().__init__(
-            f"certification enumeration capped: {' and '.join(resources)} "
-            f"exceed the cap of {cap}; enumerated "
-            f"{enumerated_subsets}/{total_subsets} subsets "
-            f"({self.sampled_fraction:.2%}) in canonical order — the "
-            f"verdict only vouches for the enumerated fraction"
-        )
 
 
 @dataclass(frozen=True)
@@ -174,14 +136,15 @@ class FaultToleranceCertificate:
     enumerates link-failure subsets and reports the joint verdict.
     """
 
+    #: The crash hypothesis this certificate actually *verified* —
+    #: ``min(schedule.npf, max_failures)``, so a run bounded below the
+    #: schedule's ``npf`` can never claim its full promise vacuously.
     npf: int
     crash_times: tuple[float, ...]
     levels: list[ToleranceLevel] = field(default_factory=list)
     breaking_subsets: list[frozenset[str]] = field(default_factory=list)
-    #: The link-failure hypothesis this certificate actually *verified*
-    #: — ``min(schedule.npl, max_link_failures)`` when the enumeration
-    #: was capped, so an under-enumerated run can never claim the
-    #: schedule's full ``npl`` promise vacuously.
+    #: Likewise the verified link-failure hypothesis,
+    #: ``min(schedule.npl, max_link_failures)``.
     npl: int = 0
     #: Combined ``(processors, links)`` subsets within the hypothesis
     #: that broke the schedule (link-involving ones only; pure processor
@@ -388,7 +351,7 @@ def _subset_verdicts(
     """The masking oracle both analyses enumerate with.
 
     ``batched=True`` routes every verdict through one (possibly shared)
-    :class:`BatchScenarioEngine`; ``batched=False`` is the legacy
+    :class:`BatchScenarioEngine`; ``batched=False`` is the reference
     one-full-simulation-per-scenario path the batched verdicts are
     pinned against (``engine`` may then be a prebuilt
     :class:`ScheduleSimulator`, e.g. to read its work counters).
@@ -464,35 +427,44 @@ def fault_tolerance_certificate(
     ``method`` selects the resolution strategy per level:
 
     * ``"auto"`` (default) — exhaustive enumeration wherever a level
-      fits under :data:`MAX_SUBSETS_PER_LEVEL` (bit-identical to the
-      historical certificate there, and never a cap warning), then
-      involved-set projection, closed-form bounds and seeded stratified
-      sampling for the levels enumeration cannot reach (see
+      fits under :data:`MAX_SUBSETS_PER_LEVEL`, then involved-set
+      projection, closed-form bounds and seeded stratified sampling for
+      the levels enumeration cannot reach (see
       :mod:`repro.analysis.sampling`).
-    * ``"exact"`` — the legacy exhaustive path, including the
-      deterministic canonical-prefix cap and its
-      :class:`CertificationCapWarning` past ``P > 12`` / ``L > 12``.
     * ``"sampled"`` — force the sampling machinery even on levels small
       enough to enumerate (test/benchmark escape hatch).
 
-    ``confidence``, ``budget``, ``seed`` and ``epsilon`` parameterize
-    the sampled levels: the adaptive loop refines each level until its
-    interval width undercuts ``epsilon`` or the total ``budget`` of
-    random draws is spent, and every draw derives deterministically
-    from the schedule content hash and ``seed``.
+    ``confidence`` (in ``(0, 1)``), ``budget`` (``>= 1``), ``seed`` and
+    ``epsilon`` parameterize the sampled levels: the adaptive loop
+    refines each level until its interval width undercuts ``epsilon``
+    or the total ``budget`` of random draws is spent, and every draw
+    derives deterministically from the schedule content hash and
+    ``seed``.
 
-    ``batched`` selects the compile-once batch engine (default) or the
-    legacy per-scenario replay; the verdicts are bit-identical (the
-    sampling machinery requires the batch engine, so ``batched=False``
-    always takes the legacy path).  Pass ``engine`` to share one
-    prebuilt engine (and its caches) across calls — e.g. a certificate
-    followed by a reliability sweep.
+    ``batched=True`` (default) runs that ladder on the compile-once
+    batch engine.  ``batched=False`` is the reference oracle: every
+    subset of every level replayed by the per-scenario simulator, with
+    no cap, projection or sampling — slow, but independent of the
+    ladder (``method="sampled"`` is rejected there).  Pass ``engine`` to
+    share one prebuilt engine (and its caches) across calls — e.g. a
+    certificate followed by a reliability sweep.
+
+    The certificate's ``npf``/``npl`` record the hypothesis actually
+    verified: ``max_failures``/``max_link_failures`` below the
+    schedule's own ``npf``/``npl`` weaken it accordingly, so a bounded
+    run never claims the full promise.  Negative bounds are rejected.
     """
-    if method not in ("auto", "exact", "sampled"):
+    _check_parameters(method, "certification", confidence, budget)
+    if method == "sampled" and not batched:
         raise SimulationError(
-            f"unknown certification method {method!r}; "
-            f"expected 'auto', 'exact' or 'sampled'"
+            "sampled certification requires the batch engine (batched=True)"
         )
+    for name, value in (
+        ("max_failures", max_failures),
+        ("max_link_failures", max_link_failures),
+    ):
+        if value is not None and value < 0:
+            raise SimulationError(f"{name} must be >= 0, got {value!r}")
     processors = schedule.processor_names()
     links = schedule.link_names()
     npl = getattr(schedule, "npl", 0)
@@ -500,111 +472,110 @@ def fault_tolerance_certificate(
     bound = min(bound, len(processors))
     link_bound = npl if max_link_failures is None else max_link_failures
     link_bound = min(link_bound, len(links))
-    times = tuple(crash_times)
-    if method != "exact" and batched:
-        return _certificate_adaptive(
-            schedule, algorithm, detection, engine, times, bound,
-            link_bound, method, confidence, budget, seed, epsilon,
-        )
-    is_masked = _subset_verdicts(schedule, algorithm, detection, batched, engine)
-    # The certificate only vouches for what it enumerated: capping the
-    # link bound below the schedule's npl weakens the verified
-    # hypothesis accordingly (never a vacuous CERTIFIED).
     certificate = FaultToleranceCertificate(
-        npf=schedule.npf, crash_times=times, npl=min(npl, link_bound)
+        npf=min(schedule.npf, bound),
+        crash_times=tuple(crash_times),
+        npl=min(npl, link_bound),
     )
-    capped_resources = tuple(
-        name
-        for name, count in (
-            ("processors", len(processors)), ("links", len(links))
+    if batched:
+        _certificate_ladder(
+            certificate, schedule, algorithm, detection, engine, bound,
+            link_bound, method == "sampled", confidence, budget, seed,
+            epsilon,
         )
-        if count > ENUMERATION_CAP
-    )
-    enumerated_subsets = 0
-    full_subsets = 0
-    for size in range(bound + 1):
-        for link_size in range(link_bound + 1):
-            masked = 0
-            total = 0
-            level_subsets = (
-                (subset, link_subset)
-                for subset in itertools.combinations(processors, size)
-                for link_subset in itertools.combinations(links, link_size)
-            )
-            if capped_resources:
-                # Deterministic sampling: the first
-                # MAX_SUBSETS_PER_LEVEL subsets in canonical order.
-                level_subsets = itertools.islice(
-                    level_subsets, MAX_SUBSETS_PER_LEVEL
-                )
-                full_subsets += math.comb(
-                    len(processors), size
-                ) * math.comb(len(links), link_size)
-            for subset, link_subset in level_subsets:
-                total += 1
-                if is_masked(subset, times, link_subset):
-                    masked += 1
-                elif size <= schedule.npf and link_size <= npl:
-                    if link_size:
-                        certificate.breaking_combined.append(
-                            (frozenset(subset), frozenset(link_subset))
-                        )
-                    else:
-                        certificate.breaking_subsets.append(frozenset(subset))
-            enumerated_subsets += total
-            certificate.levels.append(
-                ToleranceLevel(size, masked, total, link_failures=link_size)
-            )
-    if capped_resources:
-        warnings.warn(
-            CertificationCapWarning(
-                capped_resources,
-                ENUMERATION_CAP,
-                enumerated_subsets,
-                full_subsets,
-            ),
-            stacklevel=2,
-        )
-        obs.event(
-            "warn.certification_cap",
-            schedule=schedule.name,
-            resources=capped_resources,
-            cap=ENUMERATION_CAP,
-            enumerated_subsets=enumerated_subsets,
-            total_subsets=full_subsets,
+    else:
+        _certificate_reference(
+            certificate, schedule, algorithm, detection, engine, bound,
+            link_bound,
         )
     return certificate
 
 
-def _certificate_adaptive(
+def _check_parameters(
+    method: str, kind: str, confidence: float, budget: int | None
+) -> None:
+    """Reject an unknown method or sampling parameters out of range."""
+    if method not in ("auto", "sampled"):
+        raise SimulationError(
+            f"unknown {kind} method {method!r}; expected 'auto' or 'sampled'"
+        )
+    if not 0.0 < confidence < 1.0:
+        raise SimulationError(
+            f"confidence must be in (0, 1), got {confidence!r}"
+        )
+    if budget is not None and budget < 1:
+        raise SimulationError(f"sample budget must be >= 1, got {budget!r}")
+
+
+def _record_breaking(
+    certificate: FaultToleranceCertificate,
+    subset: Iterable[str],
+    link_subset: Iterable[str],
+) -> None:
+    """File one in-hypothesis breaking subset under its kind."""
+    if link_subset:
+        certificate.breaking_combined.append(
+            (frozenset(subset), frozenset(link_subset))
+        )
+    else:
+        certificate.breaking_subsets.append(frozenset(subset))
+
+
+def _certificate_reference(
+    certificate: FaultToleranceCertificate,
     schedule: Schedule,
     algorithm: AlgorithmGraph,
     detection: DetectionPolicy,
     engine: BatchScenarioEngine | ScheduleSimulator | None,
-    times: tuple[float, ...],
     bound: int,
     link_bound: int,
-    method: str,
+) -> None:
+    """Fill ``certificate`` by replaying every subset of every level."""
+    is_masked = _subset_verdicts(schedule, algorithm, detection, False, engine)
+    processors = schedule.processor_names()
+    links = schedule.link_names()
+    times = certificate.crash_times
+    for size in range(bound + 1):
+        for link_size in range(link_bound + 1):
+            masked = 0
+            total = 0
+            for subset in itertools.combinations(processors, size):
+                for link_subset in itertools.combinations(links, link_size):
+                    total += 1
+                    if is_masked(subset, times, link_subset):
+                        masked += 1
+                    elif size <= certificate.npf and link_size <= certificate.npl:
+                        _record_breaking(certificate, subset, link_subset)
+            certificate.levels.append(
+                ToleranceLevel(size, masked, total, link_failures=link_size)
+            )
+
+
+def _certificate_ladder(
+    certificate: FaultToleranceCertificate,
+    schedule: Schedule,
+    algorithm: AlgorithmGraph,
+    detection: DetectionPolicy,
+    engine: BatchScenarioEngine | ScheduleSimulator | None,
+    bound: int,
+    link_bound: int,
+    force_sampled: bool,
     confidence: float,
     budget: int | None,
     seed: int,
     epsilon: float,
-) -> FaultToleranceCertificate:
-    """The bounds/projection/sampling certificate (``method != "exact"``).
+) -> None:
+    """Fill ``certificate`` level by level through the ladder.
 
     Levels small enough to enumerate are resolved exactly (bit-identical
-    counts and breaking subsets to the legacy path, in the same
-    canonical order); everything else goes through
+    counts and breaking subsets to the reference, in the same canonical
+    order); everything else goes through
     :func:`repro.analysis.sampling.evaluate_level`.
     """
     engine = _resolve_engine(schedule, algorithm, detection, engine)
     processors = schedule.processor_names()
     links = schedule.link_names()
-    npl = getattr(schedule, "npl", 0)
-    certificate = FaultToleranceCertificate(
-        npf=schedule.npf, crash_times=times, npl=min(npl, link_bound)
-    )
-    force_sampled = method == "sampled"
+    times = certificate.crash_times
     needs_sampling = force_sampled or any(
         math.comb(len(processors), size) * math.comb(len(links), link_size)
         > MAX_SUBSETS_PER_LEVEL
@@ -673,16 +644,9 @@ def _certificate_adaptive(
                         breaking_found=bool(outcome.breaking),
                     )
                 )
-                if size <= schedule.npf and link_size <= npl:
+                if size <= certificate.npf and link_size <= certificate.npl:
                     for proc_subset, link_subset in outcome.breaking or ():
-                        if link_size:
-                            certificate.breaking_combined.append(
-                                (frozenset(proc_subset), frozenset(link_subset))
-                            )
-                        else:
-                            certificate.breaking_subsets.append(
-                                frozenset(proc_subset)
-                            )
+                        _record_breaking(certificate, proc_subset, link_subset)
     finally:
         if span is not None:
             span.__exit__(None, None, None)
@@ -697,7 +661,6 @@ def _certificate_adaptive(
             engine.stats.pruned_nominal + engine.stats.memo_hits
             - pruned_before,
         )
-    return certificate
 
 
 def event_boundary_times(schedule: Schedule, limit: int = 32) -> tuple[float, ...]:
@@ -805,9 +768,10 @@ def schedule_reliability(
     (:data:`ENUMERATION_CAP`) and switches to stratified
     conditional-Bernoulli sampling beyond (seeded, deterministic, with
     a ``ci`` at ``confidence`` — see
-    :func:`repro.analysis.sampling.sampled_reliability`); ``"exact"``
-    and ``"sampled"`` force either path.  ``cone_tilt > 0`` tilts
-    sampled draws toward large dirty cones with exact reweighting.
+    :func:`repro.analysis.sampling.sampled_reliability`); ``"sampled"``
+    forces the sampled path.  ``confidence`` must lie in ``(0, 1)`` and
+    ``budget`` be ``>= 1``.  ``cone_tilt > 0`` tilts sampled draws
+    toward large dirty cones with exact reweighting.
 
     The exact probability sum always enumerates subsets in canonical
     order (so ``batched=True`` and ``batched=False`` land on
@@ -817,11 +781,7 @@ def schedule_reliability(
     strata exact).  ``engine`` shares a prebuilt batch engine's caches,
     e.g. with a preceding certificate.
     """
-    if method not in ("auto", "exact", "sampled"):
-        raise SimulationError(
-            f"unknown reliability method {method!r}; "
-            f"expected 'auto', 'exact' or 'sampled'"
-        )
+    _check_parameters(method, "reliability", confidence, budget)
     processors = schedule.processor_names()
     _validate_probabilities(processors, failure_probabilities, "processor")
     links = schedule.link_names() if link_failure_probabilities is not None else ()
@@ -831,7 +791,7 @@ def schedule_reliability(
             len(processors) <= ENUMERATION_CAP
             and len(links) <= ENUMERATION_CAP
         )
-        # The legacy per-scenario engine has no involved-set reduction,
+        # The per-scenario reference has no involved-set reduction,
         # so auto never routes it to the sampled path.
         method = "exact" if small or not batched else "sampled"
     if method == "sampled":
@@ -929,6 +889,61 @@ def schedule_reliability(
         masked_probability_mass=masked_mass,
         evaluated_subsets=evaluated,
         guaranteed_lower_bound=min(guaranteed, 1.0),
+    )
+
+
+def certificate_mismatches(
+    certificate: FaultToleranceCertificate,
+    reference: FaultToleranceCertificate,
+) -> list[str]:
+    """Where a ladder certificate disagrees with the reference oracle.
+
+    ``reference`` is the ``batched=False`` certificate of the same
+    schedule and bounds.  Every level the ladder resolved by enumeration
+    or projection must match it count for count, and no level may claim
+    a break the reference does not see.  The breaking subsets must be
+    equal when every level was enumerated (projection and sampling keep
+    only representative witnesses).  The verdict must be equal unless
+    the ladder answered ``"estimated"``: a contradicting proof always
+    fails.  An empty list means agreement.
+    """
+    if [(l.failures, l.link_failures) for l in certificate.levels] != [
+        (l.failures, l.link_failures) for l in reference.levels
+    ]:
+        return ["tolerance levels"]
+    mismatches = []
+    if any(
+        (mine.masked_subsets, mine.total_subsets)
+        != (theirs.masked_subsets, theirs.total_subsets)
+        if mine.method in ("exact", "projected")
+        else mine.refuted and not theirs.refuted
+        for mine, theirs in zip(certificate.levels, reference.levels)
+    ):
+        mismatches.append("tolerance levels")
+    if all(level.method == "exact" for level in certificate.levels):
+        if certificate.breaking_subsets != reference.breaking_subsets:
+            mismatches.append("breaking subsets")
+        if certificate.breaking_combined != reference.breaking_combined:
+            mismatches.append("breaking combined subsets")
+    if certificate.verdict not in (reference.verdict, "estimated"):
+        mismatches.append("verdict")
+    return mismatches
+
+
+def reliability_mismatch(
+    report: ReliabilityReport, reference: ReliabilityReport
+) -> bool:
+    """True when a reliability figure disagrees with the reference one.
+
+    An exact figure must be bit-identical to the ``batched=False``
+    reference; a sampled one must contain the reference reliability in
+    its ``ci`` (up to 1e-12 of float summation order).
+    """
+    if report.method == "sampled":
+        lo, hi = report.ci
+        return not lo - 1e-12 <= reference.reliability <= hi + 1e-12
+    return (report.reliability, report.masked_probability_mass) != (
+        reference.reliability, reference.masked_probability_mass
     )
 
 

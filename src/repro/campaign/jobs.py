@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from repro import obs
-from repro.analysis.reliability import CertificationCapWarning
 from repro.baselines.hbp import schedule_hbp
 from repro.baselines.list_scheduler import schedule_non_fault_tolerant
 from repro.core.compile import compile_cache_stats
@@ -316,8 +315,7 @@ def execute_job(job: Job) -> dict:
     ``elapsed_s`` is the ``job.run`` root span's duration, and the new
     ``obs`` subsection carries the per-phase span totals plus the
     worker heartbeat.  Structured warnings raised while the job runs
-    (:class:`~repro.exceptions.CompiledFallbackWarning`,
-    :class:`~repro.analysis.reliability.CertificationCapWarning`) are
+    (:class:`~repro.exceptions.CompiledFallbackWarning`) are
     additionally recorded — deterministically, without timestamps — as
     ``record["events"]``, then re-emitted for the caller.
     """
@@ -481,19 +479,9 @@ def _warning_events(caught) -> list[dict]:
     """
     events: list[dict] = []
     for entry in caught:
-        message = entry.message
-        if isinstance(message, CertificationCapWarning):
-            event = {
-                "kind": "certification_cap",
-                "resources": list(message.resources),
-                "cap": message.cap,
-                "enumerated_subsets": message.enumerated_subsets,
-                "total_subsets": message.total_subsets,
-            }
-        elif isinstance(message, CompiledFallbackWarning):
-            event = {"kind": "compiled_fallback"}
-        else:
+        if not isinstance(entry.message, CompiledFallbackWarning):
             continue
+        event = {"kind": "compiled_fallback"}
         if event not in events:
             events.append(event)
     return events

@@ -115,9 +115,9 @@ class ReliabilitySpec:
     #: Uniform per-link failure probability for the reliability sweep
     #: (None keeps the processor-only probability sum).
     link_probability: float | None = None
-    #: Certification method: ``"auto"`` (adaptive bounds/sampling past
-    #: the enumeration cap), ``"exact"`` (legacy capped enumeration) or
-    #: ``"sampled"``.  The defaults of these four knobs are dropped
+    #: Certification method: ``"auto"`` (the certify ladder: exact
+    #: enumeration, projection, bounds, then sampling) or ``"sampled"``
+    #: (force sampling).  The defaults of these four knobs are dropped
     #: from job digests so pre-sampling specs keep their identities.
     method: str = "auto"
     #: Confidence level of sampled intervals.
@@ -159,11 +159,19 @@ class ReliabilitySpec:
             raise SerializationError(
                 f"unknown detection policy {self.detection!r}"
             )
-        if self.method not in ("auto", "exact", "sampled"):
+        if self.method not in ("auto", "sampled"):
             raise SerializationError(
                 f"unknown certification method {self.method!r}; "
-                f"expected 'auto', 'exact' or 'sampled'"
+                f"expected 'auto' or 'sampled'"
             )
+        for name in ("max_failures", "max_link_failures"):
+            bound = getattr(self, name)
+            if bound is not None and (
+                type(bound) is not int or bound < 0
+            ):
+                raise SerializationError(
+                    f"{name} must be an integer >= 0, got {bound!r}"
+                )
         if not 0.0 < self.confidence < 1.0:
             raise SerializationError(
                 f"confidence must be in (0, 1), got {self.confidence!r}"

@@ -5,9 +5,15 @@ Sub-commands::
     ftbar example                    run the paper's worked example
     ftbar schedule  problem.json     schedule a problem file
     ftbar simulate  problem.json     schedule then crash processors
+    ftbar report    problem.json     full audit of the schedule
+    ftbar iterate   problem.json     run the schedule over N iterations
+    ftbar validate  problem.json     re-check every schedule invariant
+    ftbar certify   [problem.json]   fault-tolerance certificate and
+                                     reliability (--probability Q);
+                                     exit 0 certified, 1 refuted,
+                                     2 estimated
     ftbar generate  out.json         emit a random problem file
     ftbar bench     figure9|figure10|npf|runtime|ablation
-    ftbar certify   [problem.json]   batched reliability certificate
     ftbar campaign  run|status|report|heatmap spec.json
     ftbar campaign  init spec.json --dir D    prepare a campaign directory
     ftbar campaign  worker DIR                join it as a stealing worker
@@ -128,23 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also reject multi-hop comms (strict FT guarantee)",
     )
 
-    reliability = commands.add_parser(
-        "reliability", help="exhaustive fault-tolerance certificate"
-    )
-    reliability.add_argument("problem", type=Path)
-    reliability.add_argument(
-        "--failure-probability",
-        type=float,
-        default=None,
-        metavar="Q",
-        help="per-processor failure probability; adds a reliability figure",
-    )
-    reliability.add_argument(
-        "--boundaries",
-        action="store_true",
-        help="crash at every static event boundary instead of t=0 only",
-    )
-
     certify = commands.add_parser(
         "certify",
         help="fault-tolerance certificate through the batched scenario engine",
@@ -191,18 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "reliability figure per value",
     )
     certify.add_argument(
-        "--legacy",
-        action="store_true",
-        help="use the per-scenario engine instead of the batched one",
-    )
-    certify.add_argument(
-        "--exact",
-        action="store_true",
-        help="force the legacy exhaustive enumeration (with its "
-        "deterministic cap and CertificationCapWarning past P > 12) "
-        "instead of the adaptive bounds/sampling path",
-    )
-    certify.add_argument(
         "--confidence",
         type=float,
         default=0.99,
@@ -236,8 +213,9 @@ def _build_parser() -> argparse.ArgumentParser:
     certify.add_argument(
         "--compare",
         action="store_true",
-        help="run both engines and fail unless their verdicts and "
-        "probabilities are bit-identical",
+        help="also run the uncapped per-scenario reference and fail "
+        "unless the batched answer agrees with it (exact figures "
+        "bit-identical, sampled ones inside their ci)",
     )
     _add_trace_flag(certify)
 
@@ -757,56 +735,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_reliability(args: argparse.Namespace) -> int:
-    from repro.analysis.reliability import (
-        event_boundary_times,
-        fault_tolerance_certificate,
-        mean_time_to_failure_iterations,
-        schedule_reliability,
-    )
-    from repro.core.ftbar import schedule_ftbar
-    from repro.simulation.batch import BatchScenarioEngine
-
-    problem = _load_problem(args.problem)
-    result = schedule_ftbar(problem)
-    print(result.schedule.summary())
-    times = (
-        event_boundary_times(result.schedule)
-        if args.boundaries
-        else (0.0,)
-    )
-    # One engine serves the certificate and the reliability sum, so the
-    # schedule is compiled (and each scenario simulated) only once.
-    engine = BatchScenarioEngine(result.schedule, result.expanded_algorithm)
-    certificate = fault_tolerance_certificate(
-        result.schedule,
-        result.expanded_algorithm,
-        crash_times=times,
-        engine=engine,
-    )
-    print(certificate)
-    if args.failure_probability is not None:
-        report = schedule_reliability(
-            result.schedule,
-            result.expanded_algorithm,
-            {
-                p: args.failure_probability
-                for p in result.schedule.processor_names()
-            },
-            crash_times=times,
-            engine=engine,
-        )
-        print(report)
-        mttf = mean_time_to_failure_iterations(report.reliability)
-        print(f"mean iterations to first unmasked failure: {mttf:g}")
-    return 0 if certificate.certified else 1
-
-
 def _cmd_certify(args: argparse.Namespace) -> int:
     from repro.analysis.reliability import (
+        certificate_mismatches,
         event_boundary_times,
         fault_tolerance_certificate,
         mean_time_to_failure_iterations,
+        reliability_mismatch,
         schedule_reliability,
     )
     from repro.core.ftbar import schedule_ftbar
@@ -829,10 +764,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     times = event_boundary_times(schedule) if args.boundaries else (0.0,)
     probabilities = args.probability
     max_links = args.links
-    # --compare pins the batched engine against the per-scenario one,
-    # which only exists for the exhaustive path — force it there.
-    method = "exact" if args.exact or args.compare else "auto"
 
+    # batched=True is the certify ladder; batched=False the uncapped
+    # per-scenario reference that --compare checks it against.
     def certificate_and_reports(batched: bool):
         engine = (
             BatchScenarioEngine(schedule, algorithm, detection)
@@ -847,7 +781,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             batched=batched,
             engine=engine,
             max_link_failures=max_links,
-            method=method,
             confidence=args.confidence,
             budget=args.budget,
             seed=args.seed,
@@ -861,7 +794,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
                 detection=detection,
                 batched=batched,
                 engine=engine,
-                method=method,
                 confidence=args.confidence,
                 budget=args.budget,
                 seed=args.seed,
@@ -870,7 +802,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         ]
         return certificate, reports, engine
 
-    certificate, reports, engine = certificate_and_reports(not args.legacy)
+    certificate, reports, engine = certificate_and_reports(True)
     print(certificate)
     if args.json is not None:
         save_json(certificate.to_dict(), args.json)
@@ -879,41 +811,36 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         mttf = mean_time_to_failure_iterations(report.reliability)
         print(f"q={probability:g}: {report}")
         print(f"  mean iterations to first unmasked failure: {mttf:g}")
-    if engine is not None:
-        stats = engine.stats
-        print(
-            f"batch engine: {stats.scenarios} scenario verdicts — "
-            f"{stats.simulated} simulated ({stats.simulated_cone} dirty-cone, "
-            f"{stats.simulated_full} full), {stats.pruned_nominal} pruned as "
-            f"nominal-equivalent, {stats.memo_hits} memo hits, "
-            f"{stats.decisions} event decisions, {stats.copied} copied"
-        )
+    stats = engine.stats
+    print(
+        f"batch engine: {stats.scenarios} scenario verdicts — "
+        f"{stats.simulated} simulated ({stats.simulated_cone} dirty-cone, "
+        f"{stats.simulated_full} full), {stats.pruned_nominal} pruned as "
+        f"nominal-equivalent, {stats.memo_hits} memo hits, "
+        f"{stats.decisions} event decisions, {stats.copied} copied"
+    )
     if args.compare:
-        other, other_reports, _ = certificate_and_reports(args.legacy)
-        mismatches = []
-        if [
-            (l.failures, l.link_failures, l.masked_subsets, l.total_subsets)
-            for l in certificate.levels
-        ] != [
-            (l.failures, l.link_failures, l.masked_subsets, l.total_subsets)
-            for l in other.levels
-        ]:
-            mismatches.append("tolerance levels")
-        if certificate.breaking_subsets != other.breaking_subsets:
-            mismatches.append("breaking subsets")
-        if certificate.breaking_combined != other.breaking_combined:
-            mismatches.append("breaking combined subsets")
-        if certificate.certified != other.certified:
-            mismatches.append("certified verdict")
-        for probability, mine, theirs in zip(probabilities, reports, other_reports):
-            if (mine.reliability, mine.masked_probability_mass) != (
-                theirs.reliability, theirs.masked_probability_mass
-            ):
-                mismatches.append(f"reliability at q={probability:g}")
+        reference, reference_reports, _ = certificate_and_reports(False)
+        mismatches = certificate_mismatches(certificate, reference)
+        mismatches += [
+            f"reliability at q={probability:g}"
+            for probability, mine, theirs in zip(
+                probabilities, reports, reference_reports
+            )
+            if reliability_mismatch(mine, theirs)
+        ]
         if mismatches:
             print(f"ENGINE MISMATCH: {', '.join(mismatches)}")
             return 1
-        print("engines agree: batched and per-scenario verdicts bit-identical")
+        if certificate.method == "exact" and all(
+            report.method == "exact" for report in reports
+        ):
+            print("engines agree: batched and per-scenario verdicts bit-identical")
+        else:
+            print(
+                "engines agree: exact figures bit-identical, sampled ones "
+                "inside their ci"
+            )
     # 0 = proven, 1 = a breaking subset exists, 2 = estimated only
     # (sampled levels left the hypothesis unproven but unrefuted).
     return {"certified": 0, "refuted": 1, "estimated": 2}[certificate.verdict]
@@ -1393,7 +1320,6 @@ _COMMANDS = {
     "report": _cmd_report,
     "iterate": _cmd_iterate,
     "validate": _cmd_validate,
-    "reliability": _cmd_reliability,
     "certify": _cmd_certify,
     "generate": _cmd_generate,
     "bench": _cmd_bench,

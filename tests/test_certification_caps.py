@@ -1,144 +1,104 @@
-"""The certification enumeration cap warns instead of silently sampling.
+"""The per-scenario reference certificate is uncapped.
 
-ROADMAP follow-up: for P > 12 (or L > 12) the exhaustive per-level
-subset sweep leaves the regime the certifier was designed for.  The
-legacy ``method="exact"`` path caps each level at
-``MAX_SUBSETS_PER_LEVEL`` subsets taken deterministically in canonical
-order and emits a *structured*
-:class:`~repro.analysis.reliability.CertificationCapWarning` naming the
-cap and the enumerated fraction — never a silent weakening.  The
-default ``method="auto"`` path retired the warning entirely: past the
-cap it switches to bounds/projection/sampling with quantified output
-(see ``tests/test_sampled_certification.py``).
+``batched=False`` is the oracle the certify ladder is checked against
+(``repro certify --compare``), so it must never weaken itself: past
+``ENUMERATION_CAP`` processors or links it still replays every subset of
+every level, warns about nothing, and the ladder (``batched=True``)
+matches it count for count.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-
-import pytest
 
 from repro.analysis import reliability as reliability_module
 from repro.analysis.reliability import (
-    CertificationCapWarning,
     ENUMERATION_CAP,
+    certificate_mismatches,
     fault_tolerance_certificate,
 )
 from repro.core.ftbar import schedule_ftbar
-from repro.graphs.algorithm import from_dependencies
 from repro.hardware.topologies import fully_connected, single_bus
 from repro.problem import ProblemSpec
-from repro.timing.comm_times import CommunicationTimes
-from repro.timing.exec_times import ExecutionTimes
+from tests.util import chain_problem
 
 
 def _wide_problem(processors: int) -> ProblemSpec:
     """A tiny chain on a wide architecture (P > ENUMERATION_CAP)."""
-    algorithm = from_dependencies([("I", "A"), ("A", "O")])
-    architecture = single_bus(processors)
-    exec_times = ExecutionTimes.uniform(
-        algorithm.operation_names(), architecture.processor_names(), 2.0
-    )
-    comm_times = CommunicationTimes.uniform(
-        algorithm.dependencies(), architecture.link_names(), 1.0
-    )
-    return ProblemSpec(
-        algorithm=algorithm,
-        architecture=architecture,
-        exec_times=exec_times,
-        comm_times=comm_times,
-        npf=1,
-        name=f"wide-{processors}",
-    )
+    return chain_problem(single_bus(processors), f"wide-{processors}")
 
 
 def _linky_problem() -> ProblemSpec:
     """A tiny chain on an architecture with more links than the cap."""
-    algorithm = from_dependencies([("I", "A"), ("A", "O")])
-    architecture = fully_connected(6)  # 15 links > ENUMERATION_CAP
-    exec_times = ExecutionTimes.uniform(
-        algorithm.operation_names(), architecture.processor_names(), 2.0
-    )
-    comm_times = CommunicationTimes.uniform(
-        algorithm.dependencies(), architecture.link_names(), 1.0
-    )
-    return ProblemSpec(
-        algorithm=algorithm,
-        architecture=architecture,
-        exec_times=exec_times,
-        comm_times=comm_times,
-        npf=1,
-        name="linky-6",
-    )
+    return chain_problem(fully_connected(6), "linky-6")  # 15 links
 
 
-def test_below_the_cap_no_warning():
-    result = schedule_ftbar(_wide_problem(4))
+def _certificates(problem: ProblemSpec, **kwargs):
+    """Reference and ladder certificates, with every warning an error."""
+    result = schedule_ftbar(problem)
     with warnings.catch_warnings():
-        warnings.simplefilter("error", CertificationCapWarning)
-        fault_tolerance_certificate(result.schedule, result.expanded_algorithm)
-
-
-def test_processor_cap_emits_structured_warning():
-    processors = ENUMERATION_CAP + 1
-    result = schedule_ftbar(_wide_problem(processors))
-    with pytest.warns(CertificationCapWarning) as captured:
-        certificate = fault_tolerance_certificate(
-            result.schedule, result.expanded_algorithm, method="exact"
+        warnings.simplefilter("error")
+        reference = fault_tolerance_certificate(
+            result.schedule, result.expanded_algorithm, batched=False,
+            **kwargs,
         )
-    warning = captured[0].message
-    assert warning.resources == ("processors",)
-    assert warning.cap == ENUMERATION_CAP
-    assert warning.enumerated_subsets == warning.total_subsets
-    assert warning.sampled_fraction == 1.0
-    assert "processors" in str(warning)
-    assert str(ENUMERATION_CAP) in str(warning)
-    # Nothing was actually truncated at these level sizes, so the
-    # verdict still covers every subset.
-    assert certificate.certified
+        ladder = fault_tolerance_certificate(
+            result.schedule, result.expanded_algorithm, **kwargs
+        )
+    return result.schedule, reference, ladder
 
 
-def test_truncated_levels_report_the_sampled_fraction(monkeypatch):
-    monkeypatch.setattr(reliability_module, "MAX_SUBSETS_PER_LEVEL", 10)
-    processors = ENUMERATION_CAP + 1
-    result = schedule_ftbar(_wide_problem(processors))
-    with pytest.warns(CertificationCapWarning) as captured:
-        certificate = fault_tolerance_certificate(
-            result.schedule, result.expanded_algorithm, method="exact"
-        )
-    warning = captured[0].message
-    assert warning.enumerated_subsets < warning.total_subsets
-    assert 0.0 < warning.sampled_fraction < 1.0
-    assert f"{warning.sampled_fraction:.2%}" in str(warning)
-    # Level totals honestly report the enumerated sample size, so the
-    # masked fraction is over what was actually replayed.
-    crash_2 = certificate.level(2)
-    assert crash_2.total_subsets == 10
-    # Sampling is deterministic: canonical order, first K subsets.
-    with pytest.warns(CertificationCapWarning):
-        again = fault_tolerance_certificate(
-            result.schedule, result.expanded_algorithm, method="exact"
-        )
-    assert [
-        (level.failures, level.link_failures, level.masked_subsets,
-         level.total_subsets)
-        for level in again.levels
-    ] == [
+def _counts(certificate) -> list[tuple[int, int, int, int]]:
+    return [
         (level.failures, level.link_failures, level.masked_subsets,
          level.total_subsets)
         for level in certificate.levels
     ]
 
 
-def test_link_cap_emits_warning_naming_links():
-    result = schedule_ftbar(_linky_problem())
-    with pytest.warns(CertificationCapWarning) as captured:
-        fault_tolerance_certificate(
-            result.schedule,
-            result.expanded_algorithm,
-            max_link_failures=1,
-            method="exact",
-        )
-    warning = captured[0].message
-    assert warning.resources == ("links",)
-    assert "links" in str(warning)
+def test_below_the_cap_no_warning():
+    _, reference, ladder = _certificates(_wide_problem(4))
+    assert _counts(reference) == _counts(ladder)
+    assert reference.certified and ladder.certified
+
+
+def test_reference_enumerates_every_processor_subset():
+    processors = ENUMERATION_CAP + 1
+    schedule, reference, ladder = _certificates(_wide_problem(processors))
+    assert [level.total_subsets for level in reference.levels] == [
+        math.comb(processors, size) for size in range(schedule.npf + 2)
+    ]
+    assert _counts(ladder) == _counts(reference)
+    assert certificate_mismatches(ladder, reference) == []
+    assert reference.certified
+
+
+def test_reference_enumerates_every_link_subset():
+    schedule, reference, ladder = _certificates(
+        _linky_problem(), max_link_failures=1
+    )
+    links = len(schedule.link_names())
+    assert links > ENUMERATION_CAP
+    assert [
+        (level.failures, level.link_failures, level.total_subsets)
+        for level in reference.levels
+    ] == [
+        (size, link_size, math.comb(6, size) * math.comb(links, link_size))
+        for size in range(schedule.npf + 2)
+        for link_size in range(2)
+    ]
+    assert _counts(ladder) == _counts(reference)
+    assert certificate_mismatches(ladder, reference) == []
+
+
+def test_reference_ignores_the_ladder_level_ceiling(monkeypatch):
+    # The ceiling only routes the ladder past enumeration (projection
+    # here); the reference still replays all C(13, 2) subsets.
+    monkeypatch.setattr(reliability_module, "MAX_SUBSETS_PER_LEVEL", 10)
+    processors = ENUMERATION_CAP + 1
+    _, reference, ladder = _certificates(_wide_problem(processors))
+    assert reference.level(2).total_subsets == math.comb(processors, 2)
+    assert ladder.level(2).method == "projected"
+    assert _counts(ladder) == _counts(reference)
+    assert certificate_mismatches(ladder, reference) == []

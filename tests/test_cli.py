@@ -181,7 +181,7 @@ class TestValidateAndReliability:
         main(["generate", str(problem), "--operations", "6", "--seed", "4",
               "--processors", "3"])
         capsys.readouterr()
-        assert main(["reliability", str(problem)]) == 0
+        assert main(["certify", str(problem), "--probability", "0.05"]) == 0
         output = capsys.readouterr().out
         assert "CERTIFIED" in output
 
@@ -190,14 +190,9 @@ class TestValidateAndReliability:
         main(["generate", str(problem), "--operations", "6", "--seed", "4",
               "--processors", "3"])
         capsys.readouterr()
-        assert (
-            main(
-                ["reliability", str(problem), "--failure-probability", "0.05"]
-            )
-            == 0
-        )
+        assert main(["certify", str(problem), "--probability", "0.05"]) == 0
         output = capsys.readouterr().out
-        assert "reliability" in output
+        assert "q=0.05: reliability" in output
         assert "mean iterations" in output
 
 

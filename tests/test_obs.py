@@ -11,8 +11,8 @@ The two contracts everything else leans on:
   plain serial run.
 
 Plus the campaign satellites: job documents keep their ``timing``
-schema, and structured warnings (compiled fallback, certification cap)
-land deterministically in the result store as ``record["events"]``.
+schema, and the structured compiled-fallback warning lands
+deterministically in the result store as ``record["events"]``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign.jobs import execute_job
-from repro.campaign.spec import ReliabilitySpec
 from repro.cli import main
 from repro.core.compile import reset_compile_cache
 from repro.core.ftbar import schedule_ftbar
@@ -390,32 +389,6 @@ class TestCampaignTelemetry:
         assert len(stored) == len(report.records) == 1
         (record,) = stored.values()
         assert record["events"] == [{"kind": "compiled_fallback"}]
-
-    def test_certification_cap_lands_in_store(self, tmp_path):
-        """Satellite: CertificationCapWarning → record["events"] → store.
-
-        The warning only exists on the legacy ``method="exact"`` path —
-        the default adaptive ladder answers past the cap without one
-        (tests/test_sampled_certification.py).
-        """
-        spec = tiny_spec(
-            name="obs-cap",
-            workloads=(WorkloadSpec(family="in_tree", size=2),),
-            topologies=("single_bus",),
-            processors=(13,),  # > ENUMERATION_CAP
-            seeds=(1,),
-            measures=("ftbar", "reliability"),
-            reliability=ReliabilitySpec(probabilities=(0.01,), method="exact"),
-        )
-        store = ResultStore(tmp_path / "results.jsonl")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            run_campaign(spec, jobs=1, store=store)
-        (record,) = store.load().values()
-        (event,) = record["events"]
-        assert event["kind"] == "certification_cap"
-        assert event["resources"] == ["processors"]
-        assert event["enumerated_subsets"] <= event["total_subsets"]
 
     def test_events_identical_across_worker_counts(self, tmp_path):
         spec = tiny_spec(

@@ -3,7 +3,7 @@
 The ``reliability`` measure turns campaign grids into heatmap sweeps
 (npf axis x failure-probability columns), every job certified by the
 batched scenario engine; ``repro certify`` is the one-schedule front
-end with a built-in cross-engine comparison.
+end with a built-in comparison against the per-scenario reference.
 """
 
 import json
@@ -22,6 +22,9 @@ from repro.campaign.spec import (
 from repro.campaign.store import ResultStore
 from repro.cli import main
 from repro.exceptions import SerializationError
+from repro.hardware.topologies import single_bus
+from repro.schedule.serialization import problem_to_dict, save_json
+from tests.util import chain_problem
 
 
 def heatmap_spec(npfs=(0, 1), probabilities=(0.01, 0.1)) -> CampaignSpec:
@@ -171,10 +174,20 @@ class TestCertifyCli:
         assert main(["certify", str(problem), "--boundaries"]) == 0
         assert "crash times" in capsys.readouterr().out
 
-    def test_certify_legacy_engine(self, capsys):
-        assert main(["certify", "--legacy"]) == 0
+    def test_certify_compare_past_the_cap(self, tmp_path, capsys):
+        # P = 13: the reliability figure is sampled, the reference
+        # enumerates all 2**13 subsets per scenario; they must agree.
+        problem = tmp_path / "wide13.json"
+        save_json(
+            problem_to_dict(chain_problem(single_bus(13), "wide-13")), problem
+        )
+        assert main(
+            ["certify", str(problem), "--compare", "--probability", "0.05"]
+        ) == 0
         output = capsys.readouterr().out
-        assert "batch engine:" not in output
+        assert "sampled: ci [" in output
+        assert "engines agree" in output
+        assert "ENGINE MISMATCH" not in output
 
     def test_campaign_heatmap_cli(self, tmp_path, capsys):
         from repro.campaign.spec import save_campaign

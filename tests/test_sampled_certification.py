@@ -4,7 +4,8 @@ The tentpole contract of the sampled certifier (``analysis/sampling.py``
 behind ``fault_tolerance_certificate`` / ``schedule_reliability``):
 
 * on every small instance the auto path is *bit-identical* to the
-  legacy exhaustive certificate (levels, breaking subsets, verdict);
+  per-scenario reference certificate (``batched=False``: levels,
+  breaking subsets, verdict);
 * forced sampling never contradicts exhaustive truth — same
   refuted-or-not verdict, and the exhaustive masked fraction /
   reliability lies inside every reported confidence interval;
@@ -27,7 +28,6 @@ import pytest
 
 from repro.analysis import sampling
 from repro.analysis.reliability import (
-    CertificationCapWarning,
     fault_tolerance_certificate,
     schedule_reliability,
 )
@@ -240,9 +240,7 @@ class TestSmallInstanceAgreement:
         schedule, algorithm = _schedule(processors, npf=npf, seed=seed)
         engine = BatchScenarioEngine(schedule, algorithm)
         auto = fault_tolerance_certificate(schedule, algorithm, engine=engine)
-        exact = fault_tolerance_certificate(
-            schedule, algorithm, method="exact", engine=engine
-        )
+        exact = fault_tolerance_certificate(schedule, algorithm, batched=False)
         assert _levels(auto) == _levels(exact)
         assert auto.breaking_subsets == exact.breaking_subsets
         assert auto.breaking_combined == exact.breaking_combined
@@ -257,9 +255,7 @@ class TestSmallInstanceAgreement:
     ):
         schedule, algorithm = _schedule(processors, npf=npf, seed=seed)
         engine = BatchScenarioEngine(schedule, algorithm)
-        exact = fault_tolerance_certificate(
-            schedule, algorithm, method="exact", engine=engine
-        )
+        exact = fault_tolerance_certificate(schedule, algorithm, batched=False)
         sampled = fault_tolerance_certificate(
             schedule, algorithm, method="sampled", engine=engine, seed=1
         )
@@ -281,7 +277,7 @@ class TestSmallInstanceAgreement:
         engine = BatchScenarioEngine(schedule, algorithm)
         probabilities = {p: 0.05 for p in schedule.processor_names()}
         exact = schedule_reliability(
-            schedule, algorithm, probabilities, engine=engine
+            schedule, algorithm, probabilities, batched=False
         )
         sampled = schedule_reliability(
             schedule, algorithm, probabilities, method="sampled",
@@ -305,7 +301,7 @@ class TestBeyondTheCap:
     def test_auto_emits_no_cap_warning(self):
         schedule, algorithm = _wide_schedule(16)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", CertificationCapWarning)
+            warnings.simplefilter("error")
             certificate = fault_tolerance_certificate(schedule, algorithm)
         assert certificate.verdict in ("certified", "refuted", "estimated")
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.graphs.algorithm import AlgorithmGraph
+from repro.graphs.algorithm import AlgorithmGraph, from_dependencies
+from repro.hardware.architecture import Architecture
 from repro.hardware.topologies import fully_connected
 from repro.problem import ProblemSpec
 from repro.timing.comm_times import CommunicationTimes
@@ -34,5 +35,24 @@ def uniform_problem(
         comm_times=comm_times,
         npf=npf,
         rtc=rtc or RealTimeConstraints(),
+        name=name,
+    )
+
+
+def chain_problem(architecture: Architecture, name: str) -> ProblemSpec:
+    """The chain I -> A -> O at npf = 1 with uniform timings."""
+    algorithm = from_dependencies([("I", "A"), ("A", "O")])
+    exec_times = ExecutionTimes.uniform(
+        algorithm.operation_names(), architecture.processor_names(), 2.0
+    )
+    comm_times = CommunicationTimes.uniform(
+        algorithm.dependencies(), architecture.link_names(), 1.0
+    )
+    return ProblemSpec(
+        algorithm=algorithm,
+        architecture=architecture,
+        exec_times=exec_times,
+        comm_times=comm_times,
+        npf=1,
         name=name,
     )
