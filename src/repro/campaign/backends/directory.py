@@ -21,10 +21,11 @@ idempotent jobs, workers that may stall or die):
   file's mtime every ``lease_ttl / 4``.  A live worker's lease
   therefore never looks stale, however long the job runs;
 * **steal** — a claim whose mtime is older than ``lease_ttl`` belongs
-  to a dead (or wedged) worker.  Any worker may reclaim it: unlink the
-  stale file, then race a fresh ``O_EXCL`` create (losing the race is
-  harmless).  Each reclaim bumps the attempt counter and appends a
-  structured ``lease_reclaimed`` event to the stealer's shard;
+  to a dead (or wedged) worker.  Any worker may reclaim it: write its
+  own claim beside the stale one and rename it over the corpse, so the
+  claim path never goes missing and no plain ``O_EXCL`` claim can slip
+  in mid-takeover.  Each reclaim bumps the attempt counter and appends
+  a structured ``lease_reclaimed`` event to the stealer's shard;
 * **bounded retry** — a job whose claim has died ``max_attempts`` times
   is poisoned (it kills its workers): the stale claim is left as a
   tombstone, a ``retries_exhausted`` event is recorded once per
@@ -161,10 +162,10 @@ class DirectoryCampaign:
     def claim_path(self, digest: str) -> Path:
         return self.claims_dir / f"{digest}.claim"
 
-    def try_claim(self, digest: str, worker: str, attempt: int = 1) -> bool:
-        """Atomically claim one job; exactly one concurrent caller wins."""
-        host, _, pid = worker.rpartition("-")
-        payload = json.dumps(
+    @staticmethod
+    def _claim_payload(digest: str, worker: str, attempt: int) -> str:
+        host = worker.rpartition("-")[0]
+        return json.dumps(
             {
                 "digest": digest,
                 "worker": worker,
@@ -175,6 +176,11 @@ class DirectoryCampaign:
             },
             sort_keys=True,
         )
+
+    def try_claim(self, digest: str, worker: str, attempt: int = 1) -> bool:
+        """Atomically claim one job; exactly one concurrent caller wins."""
+        payload = self._claim_payload(digest, worker, attempt)
+
         def attempt_claim() -> bool:
             failpoint("directory.claim.create", key=digest)
             try:
@@ -202,6 +208,32 @@ class DirectoryCampaign:
             return True
 
         return retry_io(attempt_claim, attempts=3, base_s=0.005, cap_s=0.05)
+
+    def take_over(
+        self, digest: str, worker: str, attempt: int, lease_ttl_s: float
+    ) -> bool:
+        """Replace a stale claim with ours in one atomic rename.
+
+        The new claim is written beside the old one and renamed over it,
+        so the claim path never goes missing: a concurrent
+        :meth:`try_claim` keeps losing its ``O_EXCL`` create instead of
+        winning the job as a plain claim halfway through the takeover.
+        Returns ``False`` when the claim is gone or fresh again by the
+        time ours is ready (its owner released or renewed it, or another
+        stealer got there first).
+        """
+        staging = self.claims_dir / f"{digest}.{worker}.steal"
+        try:
+            staging.write_text(
+                self._claim_payload(digest, worker, attempt), encoding="utf-8"
+            )
+            age = self.claim_age_s(digest)
+            if age is None or age < lease_ttl_s:
+                return False
+            os.replace(staging, self.claim_path(digest))
+            return True
+        finally:
+            staging.unlink(missing_ok=True)
 
     def read_claim(self, digest: str) -> dict | None:
         """The claim document of one job, or ``None`` (absent/torn)."""
@@ -602,15 +634,16 @@ def worker_loop(
                         f"{attempt} dead leases"
                     )
                 continue
-            campaign.release(job.digest)  # drop the corpse...
             with obs.span("campaign.claim", job=job.digest[:12], steal=True):
-                won = campaign.try_claim(job.digest, worker, attempt + 1)
+                won = campaign.take_over(
+                    job.digest, worker, attempt + 1, lease_ttl_s
+                )
             if not won:
-                continue  # another stealer beat us to the re-create
+                continue  # the lease changed hands since we looked
             if job.digest in campaign.recorded_digests():
                 # The victim recorded the result but died before
                 # releasing: the work is done, only the claim was stale.
-                campaign.release(job.digest)
+                campaign.release(job.digest, owner=worker)
                 continue
             report.reclaims += 1
             progressed = True

@@ -58,7 +58,6 @@ from repro.core.compile import CompiledProblem, validated_once
 from repro.core.kernel import CompiledReadySet, SchedulingKernel
 from repro.core.minimize import DuplicationStats, StartTimeMinimizer
 from repro.core.options import SchedulerOptions
-from repro.core.parallel import resolve_workers
 from repro.core.placement import PlacementPlanner, commit_plan
 from repro.core.pressure import PressureCalculator
 from repro.problem import ProblemSpec
@@ -312,7 +311,6 @@ class FTBARScheduler:
                 processor_aware=self._options.processor_aware_pressure,
                 duplication=self._options.duplication,
                 symmetry=self._options.symmetry,
-                workers=resolve_workers(self._options.sweep_workers),
             )
             if tracer is not None:
                 # Sub-step phases too hot to span individually (the

@@ -95,14 +95,12 @@ through the exact calls the reference engine's ``commit_plan`` makes.
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import time
 from typing import Any, Iterable
 
 from repro.core.compile import CompiledProblem
 from repro.core.minimize import DuplicationStats
-from repro.core.parallel import run_sharded
 from repro.core.symmetry import orbit_representatives
 from repro.exceptions import InfeasibleReplicationError, SchedulingError
 from repro.schedule.schedule import Schedule
@@ -114,9 +112,6 @@ _INF = math.inf
 #: identical).  Setting ``_np = None`` forces the scalar sweep.
 _UNLOADED: Any = object()
 _np: Any = _UNLOADED
-#: Sigma matrices smaller than this stay on one thread: the sharding
-#: dispatch costs more than the partition it would split.
-_PARALLEL_MIN_ELEMS = 4096
 #: Problems with fewer than this many (operation, processor) cells run
 #: the scalar sweep: per-sweep numpy dispatch overhead dominates small
 #: candidate sets (the measured crossover on 4-processor problems sits
@@ -348,13 +343,6 @@ def _numpy() -> Any:
     return _np
 
 
-def _numpy_available() -> bool:
-    """Whether :func:`_numpy` would return numpy, without importing it."""
-    if _np is _UNLOADED:
-        return importlib.util.find_spec("numpy") is not None
-    return _np is not None
-
-
 class _RowPool:
     """Append-only column store for the replay pools.
 
@@ -432,7 +420,6 @@ class SchedulingKernel:
         duplication: bool = True,
         vector: bool = True,
         symmetry: bool = True,
-        workers: int = 0,
     ) -> None:
         self._c = compiled
         self._schedule = schedule
@@ -440,7 +427,6 @@ class SchedulingKernel:
         self._duplication = duplication
         self._P = compiled.n_procs
         self._all_procs = tuple(range(compiled.n_procs))
-        self._workers = workers if workers and _numpy_available() else 0
         # Macro-step trial batching is exact only when every overlay
         # advance matches the committed advance: on all-direct
         # interconnects (every ordered pair has a direct link and
@@ -507,14 +493,10 @@ class SchedulingKernel:
         # ``vector=False``: their pair keys index a P²-per-task space
         # the sweep arrays do not cover.  Below ``_VECTOR_MIN_CELLS``
         # the per-sweep numpy dispatch overhead outweighs the batched
-        # arithmetic and the scalar sweep is faster — unless a worker
-        # pool was requested, which only the vector sweep can shard.
+        # arithmetic and the scalar sweep is faster.
         self._vector = (
             vector and not compiled.pins
-            and (
-                compiled.n_ops * compiled.n_procs >= _VECTOR_MIN_CELLS
-                or self._workers >= 2
-            )
+            and compiled.n_ops * compiled.n_procs >= _VECTOR_MIN_CELLS
             and _numpy() is not None
         )
         if self._vector:
@@ -1638,18 +1620,7 @@ class SchedulingKernel:
         # the k-th order statistic at index k — the same float a full
         # sort would put there — without sorting the whole row.
         k = required - 1
-        count = len(candidates)
-        if self._workers >= 2 and sigma.size >= _PARALLEL_MIN_ELEMS:
-            urgencies = np.empty(count)
-
-            def task(lo: int, hi: int) -> None:
-                urgencies[lo:hi] = np.partition(
-                    sigma[lo:hi], k, axis=1
-                )[:, k]
-
-            run_sharded(self._workers, count, task)
-        else:
-            urgencies = np.partition(sigma, k, axis=1)[:, k]
+        urgencies = np.partition(sigma, k, axis=1)[:, k]
         # Most urgent candidate; argmax keeps the first (= smallest id)
         # among equals, the scalar loop's tie-break.
         winner = int(urgencies.argmax())

@@ -68,13 +68,6 @@ class SchedulerOptions:
         the compiled kernel implements the pruning; the reference engine
         ignores the flag.  ``symmetry=False`` is the escape hatch that
         restores the exhaustive sweep (and the PR-5 counter pins).
-    sweep_workers:
-        Worker-thread count of the compiled kernel's parallel selection
-        sweep (:mod:`repro.core.parallel`).  ``None`` reads the
-        ``REPRO_SWEEP_WORKERS`` environment variable (0 when unset);
-        values below 2 keep the sweep serial.  The parallel reduction
-        preserves the sequential tie-break order, so results and
-        counters are identical at any worker count.
     """
 
     duplication: bool = True
@@ -83,4 +76,3 @@ class SchedulerOptions:
     npl: int | None = None
     compiled: bool = True
     symmetry: bool = True
-    sweep_workers: int | None = None

@@ -150,9 +150,6 @@ class InjectionPlan:
     triggers: tuple[FaultTrigger, ...]
     name: str = ""
 
-    def triggers_for(self, site: str) -> tuple[FaultTrigger, ...]:
-        return tuple(t for t in self.triggers if t.site == site)
-
     def sites(self) -> set[str]:
         return {t.site for t in self.triggers}
 

@@ -6,7 +6,7 @@ cover every use in the repo:
 
 * :class:`JsonlExporter` — the durable form: one JSON object per line,
   appended to a file.  Writes are serialized under a lock (spans can
-  finish on ``core/parallel.py`` worker threads) and buffered through
+  finish on any thread) and buffered through
   the regular file buffer; ``close()`` flushes.  The format is
   append-only and schema-versioned (:mod:`repro.obs.schema`), so a
   consumer can stream a live file and tolerate a torn tail exactly like
@@ -26,6 +26,8 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
+
+from repro.exceptions import SerializationError
 
 
 class ListExporter:
@@ -84,7 +86,12 @@ def read_trace(path: str | Path) -> list[dict]:
     leaves at most one half line at the tail, which carries nothing
     recoverable.
     """
-    raw = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        raw = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as error:
+        raise SerializationError(
+            f"cannot read {path}: {error.strerror or error}"
+        ) from error
     lines: list[dict] = []
     for number, text in enumerate(raw):
         if not text.strip():

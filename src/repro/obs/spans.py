@@ -23,10 +23,10 @@ Design constraints, in order:
    tracing on or off, schedules, counters, observer streams and content
    hashes are bit-identical (pinned by ``tests/test_obs.py``).
 
-3. **Thread-safety.**  The context stack is thread-local (kernel sweep
-   workers and campaign threads do not share parents); span ids come
-   from one lock-free counter (`itertools.count`, atomic under the
-   GIL); exporters serialize their own writes.
+3. **Thread-safety.**  The context stack is thread-local (threads do
+   not share parents); span ids come from one lock-free counter
+   (`itertools.count`, atomic under the GIL); exporters serialize their
+   own writes.
 """
 
 from __future__ import annotations

@@ -4,7 +4,6 @@ from repro._lazy import lazy_namespace
 
 __all__ = [
     "Schedule",
-    "ScheduleSnapshot",
     "ScheduledComm",
     "ScheduledOperation",
     "ValidationReport",
@@ -24,7 +23,7 @@ __getattr__, __dir__ = lazy_namespace(
         "events": ("ScheduledComm", "ScheduledOperation"),
         "gantt": ("render_gantt", "schedule_table"),
         "graphviz": ("algorithm_to_dot", "architecture_to_dot", "schedule_to_dot"),
-        "schedule": ("Schedule", "ScheduleSnapshot"),
+        "schedule": ("Schedule",),
         "validation": (
             "ValidationReport",
             "assert_valid_schedule",

@@ -1,9 +1,8 @@
 """Immutable scheduled events: operation replicas and communications.
 
 A static schedule is a set of timed events on resources: operation
-replicas on processors and comms on links.  Events are frozen dataclasses
-so timelines can be snapshot by shallow list copies (used by the
-``Minimize_start_time`` rollback).
+replicas on processors and comms on links.  Events are frozen
+dataclasses, so timelines and indexes can share them freely.
 """
 
 from __future__ import annotations

@@ -5,12 +5,13 @@ of operation replicas on every processor and of comms on every link
 (section 4.2 — the total order over each communication medium is what
 makes the execution deadlock-free on order-preserving networks).
 
-The class supports cheap snapshot/restore so ``Minimize_start_time`` can
-speculatively replicate predecessors and roll back when the replication
-does not pay off (step Ð of the paper's procedure).
+The class keeps a mutation log (``mark``/``undo_to``) so
+``Minimize_start_time`` can speculatively replicate predecessors and
+roll back when the replication does not pay off (step Ð of the paper's
+procedure).
 
 Hot queries are backed by indexes maintained on every placement (and
-captured/restored by snapshots) instead of per-query scans:
+unwound by ``undo_to``) instead of per-query scans:
 
 * ``makespan`` is a running aggregate (placements only extend it);
 * ``replica_on`` reads a per-``(operation, processor)`` map;
@@ -23,27 +24,12 @@ captured/restored by snapshots) instead of per-query scans:
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.exceptions import ScheduleValidationError
 from repro.schedule.events import ScheduledComm, ScheduledOperation
 
 _EPSILON = 1e-9
-
-
-@dataclass(frozen=True)
-class ScheduleSnapshot:
-    """Opaque saved state for :meth:`Schedule.restore`."""
-
-    processor_timelines: Mapping[str, tuple[ScheduledOperation, ...]]
-    link_timelines: Mapping[str, tuple[ScheduledComm, ...]]
-    replicas: Mapping[str, tuple[ScheduledOperation, ...]]
-    makespan: float
-    replica_index: Mapping[tuple[str, str], ScheduledOperation]
-    inbound_comms: Mapping[tuple[str, int], tuple[ScheduledComm, ...]]
-    edge_comms: Mapping[tuple[str, str], tuple[ScheduledComm, ...]]
-    link_busy: Mapping[str, tuple[tuple[float, float], ...]]
 
 
 class Schedule:
@@ -225,10 +211,8 @@ class Schedule:
     def mark(self) -> int:
         """An O(1) rollback point for :meth:`undo_to` (LIFO only).
 
-        Marks index the mutation log, so they are cheaper than
-        :meth:`snapshot` by the full size of the schedule; in exchange
-        they must be unwound in LIFO order and become invalid after a
-        :meth:`restore` (which resets the log).
+        Marks index the mutation log, so they cost nothing to take; in
+        exchange they must be unwound in LIFO order.
         """
         return len(self._log)
 
@@ -253,42 +237,6 @@ class Schedule:
                 del self._inbound_comms[inbound_key][inbound_idx]
                 del self._edge_comms[edge_key][edge_idx]
                 self._makespan = makespan
-
-    # ------------------------------------------------------------------
-    # snapshot / rollback
-    # ------------------------------------------------------------------
-    def snapshot(self) -> ScheduleSnapshot:
-        """Capture the current state; events are immutable so this is cheap."""
-        return ScheduleSnapshot(
-            processor_timelines={
-                p: tuple(t) for p, t in self._processor_timelines.items()
-            },
-            link_timelines={l: tuple(t) for l, t in self._link_timelines.items()},
-            replicas={o: tuple(r) for o, r in self._replicas.items()},
-            makespan=self._makespan,
-            replica_index=dict(self._replica_index),
-            inbound_comms={k: tuple(v) for k, v in self._inbound_comms.items()},
-            edge_comms={k: tuple(v) for k, v in self._edge_comms.items()},
-            link_busy={l: tuple(v) for l, v in self._link_busy.items()},
-        )
-
-    def restore(self, saved: ScheduleSnapshot) -> None:
-        """Roll the schedule back to a previously captured snapshot.
-
-        Resets the mutation log: :meth:`mark` cookies taken before a
-        restore must not be passed to :meth:`undo_to` afterwards.
-        """
-        self._log.clear()
-        self._processor_timelines = {
-            p: list(t) for p, t in saved.processor_timelines.items()
-        }
-        self._link_timelines = {l: list(t) for l, t in saved.link_timelines.items()}
-        self._replicas = {o: list(r) for o, r in saved.replicas.items()}
-        self._makespan = saved.makespan
-        self._replica_index = dict(saved.replica_index)
-        self._inbound_comms = {k: list(v) for k, v in saved.inbound_comms.items()}
-        self._edge_comms = {k: list(v) for k, v in saved.edge_comms.items()}
-        self._link_busy = {l: list(v) for l, v in saved.link_busy.items()}
 
     # ------------------------------------------------------------------
     # queries

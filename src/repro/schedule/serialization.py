@@ -454,5 +454,9 @@ def load_json(path: str | Path) -> dict:
     """Read a JSON document from disk."""
     try:
         return json.loads(Path(path).read_text())
+    except OSError as error:
+        raise SerializationError(
+            f"cannot read {path}: {error.strerror or error}"
+        ) from error
     except json.JSONDecodeError as error:
         raise SerializationError(f"invalid JSON in {path}: {error}") from error

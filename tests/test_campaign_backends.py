@@ -451,6 +451,59 @@ class TestKilledWorkerMerge:
         ) == canonical_bytes(tmp_path, serial_store)
 
 
+class TestStealTakeover:
+    def test_plain_claim_cannot_win_mid_takeover(self, tmp_path, monkeypatch):
+        """A steal is one rename: the claim path never goes missing.
+
+        Forces the interleaving behind a lost ``lease_reclaimed`` event:
+        the other survivor's ordinary claim pass runs while the stealer
+        is between judging the lease dead and installing its own claim.
+        The plain ``O_EXCL`` claim must lose, and the reclaim must be
+        accounted exactly once across every shard.
+        """
+        spec = small_spec()
+        campaign = DirectoryCampaign.initialize(spec, tmp_path / "c")
+        victim_job = expand_jobs(spec)[0]
+        assert campaign.try_claim(victim_job.digest, "deadhost-1")
+        claim_path = campaign.claim_path(victim_job.digest)
+        past = time.time() - 60.0
+        os.utime(claim_path, (past, past))
+
+        competitor = []
+        real_replace = os.replace
+
+        def replace_after_competitor(source, target):
+            if Path(target) == claim_path:
+                competitor.append(
+                    campaign.try_claim(victim_job.digest, "survivor-b")
+                )
+            return real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", replace_after_competitor)
+        report = worker_loop(
+            tmp_path / "c", worker="survivor-a", lease_ttl_s=5.0, poll_s=0.05
+        )
+        monkeypatch.undo()
+        late = worker_loop(
+            tmp_path / "c", worker="survivor-b", lease_ttl_s=5.0, poll_s=0.05
+        )
+
+        assert competitor == [False]
+        assert report.reclaims == 1 and late.reclaims == 0
+        assert late.completed == 0
+        events = [
+            event
+            for path in campaign.shard_paths()
+            for event in ResultStore(path).events()
+        ]
+        assert [event["event"] for event in events] == ["lease_reclaimed"]
+        assert events[0]["worker"] == "survivor-a"
+        assert campaign.recorded_digests() == {
+            job.digest for job in expand_jobs(spec)
+        }
+        assert not list(campaign.claims_dir.iterdir())
+
+
 class TestBackendCli:
     def write_spec(self, tmp_path) -> Path:
         path = tmp_path / "spec.json"

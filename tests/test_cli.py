@@ -227,3 +227,21 @@ class TestBench:
         monkeypatch.setattr(cli_module, "_PERF_SMOKE_PINS", drifted)
         assert main(["bench", "--smoke"]) == 1
         assert "REGRESSED" in capsys.readouterr().out
+
+
+class TestMissingInput:
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            "schedule", "simulate", "validate", "certify",
+            "campaign run", "campaign status", "trace", "stats",
+        ],
+    )
+    def test_missing_file_is_a_one_line_error(self, tmp_path, capsys, verb):
+        missing = tmp_path / "absent.json"
+        assert main([*verb.split(), str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: cannot read {missing}: No such file or directory"
+        ]
+        assert "Traceback" not in err

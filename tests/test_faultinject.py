@@ -59,6 +59,11 @@ class TestDeriveUnit:
         assert derive_unit(7, "store.append.write", "abc") != base
         assert derive_unit(7, SITE, "abd") != base
 
+    def test_draw_is_pinned_across_versions(self):
+        # Fault plans replay the same faults on any machine: the
+        # SHA-256 derivation may never drift.
+        assert derive_unit(7, "store.append.write", "abc") == 0.8992111134973639
+
 
 class TestPlanValidation:
     def test_unknown_site_rejected_when_strict(self):

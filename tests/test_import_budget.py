@@ -4,7 +4,7 @@ Deterministic (module sets, not timings).  Every check runs in a fresh
 interpreter and inspects ``sys.modules`` after the command finished:
 ``schedule``, ``validate`` and ``certify`` on a small problem must not
 load numpy, networkx, the campaign, fault-injection or baseline layers,
-nor the experiment harness.  numpy is loaded only when a kernel passes
+the experiment harness, ``concurrent.futures`` or ``logging``.  numpy is loaded only when a kernel passes
 the vector-sweep gate.
 """
 
@@ -32,6 +32,9 @@ FORBIDDEN = (
     "repro.faultinject",
     "repro.baselines",
     "repro.analysis.experiments",
+    # The scheduler is single-threaded: no executor, no logging setup.
+    "concurrent.futures",
+    "logging",
 )
 
 #: ``repro.analysis`` submodules each probe may load.

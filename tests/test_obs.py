@@ -266,22 +266,22 @@ class TestDeterminism:
         names = {l["name"] for l in exporter.lines if l.get("type") == "span"}
         assert {"ftbar.run", "kernel.sweep", "kernel.place"} <= names
 
-    def test_step_stream_pruned_parallel_equals_unpruned_serial(self):
-        """Satellite: StepRecords under symmetry + sweep_workers=2.
+    def test_step_stream_pruned_equals_unpruned(self):
+        """StepRecords under tracing and symmetry pruning.
 
-        The observer stream of a traced, symmetry-pruned, two-worker
-        sweep must equal the plain serial unpruned stream — record for
-        record, pressures included.
+        The observer stream of a traced, symmetry-pruned sweep must
+        equal the plain unpruned stream — record for record, pressures
+        included.
         """
         baseline_records: list = []
         pruned_records: list = []
         baseline = self.run_problem(
-            SchedulerOptions(symmetry=False, sweep_workers=None),
+            SchedulerOptions(symmetry=False),
             baseline_records.append,
         )
         obs.enable(obs.ListExporter())
         pruned = self.run_problem(
-            SchedulerOptions(symmetry=True, sweep_workers=2),
+            SchedulerOptions(symmetry=True),
             pruned_records.append,
         )
         obs.disable()

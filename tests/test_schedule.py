@@ -1,4 +1,4 @@
-"""Unit tests for the Schedule container (timelines, snapshots)."""
+"""Unit tests for the Schedule container (timelines, rollback)."""
 
 import pytest
 
@@ -151,31 +151,62 @@ class TestQueries:
         assert "makespan=3" in self.populated().summary()
 
 
-class TestSnapshot:
-    def test_restore_discards_later_placements(self):
+def observed(schedule: Schedule) -> tuple:
+    """Every index ``undo_to`` must unwind, read through the public queries."""
+    return (
+        schedule.makespan(),
+        schedule.scheduled_operations(),
+        schedule.replica_on("A", "P1"),
+        schedule.replica_on("B", "P1"),
+        schedule.comms_toward("B", 0),
+        schedule.comms_for_edge("A", "B"),
+        list(schedule.link_busy_intervals("L")),
+        schedule.comm_count(),
+    )
+
+
+class TestUndo:
+    def test_undo_discards_later_placements(self):
         schedule = empty()
         schedule.place_operation("A", "P1", 0.0, 1.0)
-        saved = schedule.snapshot()
-        schedule.place_operation("B", "P1", 1.0, 1.0)
+        mark = schedule.mark()
+        marked = observed(schedule)
+        # The comm goes first so the last entry unwound is a comm: its
+        # makespan rollback is checked on its own.
         schedule.place_comm("A", "B", 0, 0, "L", 1.0, 1.0, "P1", "P2")
-        schedule.restore(saved)
+        schedule.place_operation("B", "P1", 1.0, 1.0)
+        assert observed(schedule) != marked
+        schedule.undo_to(mark)
+        assert observed(schedule) == marked
         assert schedule.scheduled_operations() == ("A",)
         assert schedule.comm_count() == 0
         assert schedule.makespan() == 1.0
 
-    def test_snapshot_is_immutable_view(self):
+    def test_nested_marks_unwind_in_lifo_order(self):
         schedule = empty()
+        outer = schedule.mark()
+        empty_state = observed(schedule)
         schedule.place_operation("A", "P1", 0.0, 1.0)
-        saved = schedule.snapshot()
-        schedule.place_operation("B", "P2", 0.0, 1.0)
-        # The snapshot still reflects the old state.
-        assert set(saved.replicas) == {"A"}
+        schedule.place_comm("A", "B", 0, 0, "L", 1.0, 0.5, "P1", "P2")
+        inner = schedule.mark()
+        inner_state = observed(schedule)
+        schedule.place_operation("B", "P2", 1.5, 1.0)
+        schedule.undo_to(inner)
+        assert observed(schedule) == inner_state
+        schedule.undo_to(outer)
+        assert observed(schedule) == empty_state
 
-    def test_restore_then_continue(self):
+    def test_undo_then_continue(self):
         schedule = empty()
-        saved = schedule.snapshot()
+        mark = schedule.mark()
         schedule.place_operation("A", "P1", 0.0, 1.0)
-        schedule.restore(saved)
+        schedule.place_comm("A", "B", 0, 0, "L", 1.0, 1.0, "P1", "P2")
+        schedule.undo_to(mark)
         schedule.place_operation("A", "P2", 0.0, 1.0)
+        comm = schedule.place_comm("A", "B", 0, 0, "L", 1.0, 1.0, "P2", "P1")
         assert schedule.replica_on("A", "P2") is not None
         assert schedule.replica_on("A", "P1") is None
+        assert schedule.comms_toward("B", 0) == (comm,)
+        assert schedule.comms_for_edge("A", "B") == (comm,)
+        assert schedule.link_busy_intervals("L") == [(1.0, 2.0)]
+        assert schedule.makespan() == 2.0
